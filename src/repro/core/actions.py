@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.devices.device import ExecutionTarget, MobileDevice
+from repro.devices.device import ExecutionTarget, MobileDevice, execution_target
 from repro.exceptions import PolicyError
 
 #: Reserved action id used when a device is not selected for a round (it idles).
@@ -32,7 +32,7 @@ class ActionSpec:
         """Concretise the action into an execution target for a specific device."""
         spec = device.spec.processor(self.processor)
         step = round(self.frequency_fraction * (spec.num_vf_steps - 1))
-        return ExecutionTarget(processor=self.processor, vf_step=int(step))
+        return execution_target(self.processor, int(step))
 
 
 class ActionCatalog:

@@ -126,9 +126,10 @@ class AutoFLAgent:
         device_ids = list(local_states)
         explored = bool(self._rng.random() < self._config.epsilon)
         if explored:
-            chosen = list(
-                self._rng.choice(device_ids, size=num_participants, replace=False).astype(int)
-            )
+            chosen = [
+                int(device_id)
+                for device_id in self._rng.choice(device_ids, size=num_participants, replace=False)
+            ]
             actions = {
                 device_id: int(self._rng.choice(self._catalog.action_ids))
                 for device_id in chosen
@@ -234,6 +235,38 @@ class AutoFLAgent:
             states.update(fallback_local_states)
         any_transition = next(iter(self._pending.values()))
         self._complete_pending_updates(any_transition.global_state, states)
+
+
+def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]`` without sorting all of ``keys``.
+
+    A partition finds the k-th smallest key; every smaller key is in, and ties at that
+    key are taken lowest index first, exactly as the stable sort would.  Only the k
+    chosen keys are then sorted, by key and then by index.
+    """
+    if k >= len(keys):
+        return np.argsort(keys, kind="stable")
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(keys, k - 1)[k - 1]
+    if np.isnan(kth):  # Fewer than k non-NaN keys: NaNs sort last, in index order.
+        return np.argsort(keys, kind="stable")[:k]
+    below = np.flatnonzero(keys < kth)
+    tied = np.flatnonzero(keys == kth)[: k - len(below)]
+    chosen = np.concatenate([below, tied])
+    return chosen[np.lexsort((chosen, keys[chosen]))]
+
+
+def runs_of_sorted(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and length of every run of equal values in an already sorted array.
+
+    The ``return_index`` / ``return_counts`` of ``np.unique`` on that array, without
+    the second sort ``np.unique`` would make.
+    """
+    starts = np.ones(len(sorted_values), dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    first_index = np.flatnonzero(starts)
+    return first_index, np.diff(first_index, append=len(sorted_values))
 
 
 @dataclass
@@ -378,8 +411,7 @@ class VectorAutoFLAgent:
             # Ties (devices sharing a Q-table entry) are broken randomly to avoid a
             # biased selection among equivalent devices (paper Section 4.2).
             jitter = self._rng.random(len(candidate_rows)) * 1e-6
-            order = np.argsort(-(best_values + jitter), kind="stable")
-            top = order[:num_participants]
+            top = stable_top_k(-(best_values + jitter), num_participants)
             action_cols[top] = best_cols[top]
             chosen = [int(device_id) for device_id in candidate_ids[top]]
             actions = {
@@ -452,9 +484,8 @@ class VectorAutoFLAgent:
         order = np.argsort(flat, kind="stable")
         sorted_flat = flat[order]
         sorted_targets = targets[order]
-        unique_cells, first_index, counts = np.unique(
-            sorted_flat, return_index=True, return_counts=True
-        )
+        first_index, counts = runs_of_sorted(sorted_flat)
+        unique_cells = sorted_flat[first_index]
         first_current = current[order][first_index]
         first_targets = sorted_targets[first_index]
         position = np.arange(len(sorted_flat)) - np.repeat(first_index, counts)

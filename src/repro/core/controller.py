@@ -143,52 +143,16 @@ class AutoFLPolicy(Policy):
         batch: BatchRoundExecution,
         training: RoundTrainingResult,
     ) -> bool:
-        if not self._vectorized:
-            return False
-        self._ensure_agent(ctx)
-        arrays = ctx.environment.fleet_arrays
-        rows = arrays.rows_for(decision.participants)
-        # Fleet-order per-device energies straight from the batch arrays: participants
-        # contribute compute + communication + waiting, everyone else their idle draw.
-        fleet_local = batch.idle_j.copy()
-        fleet_local[rows] = (batch.compute_j + batch.communication_j) + batch.waiting_j
-        selected_mask = np.zeros(len(arrays), dtype=bool)
-        selected_mask[rows] = True
-        failed_mask = np.zeros(len(arrays), dtype=bool)
-        failed_mask[rows] = batch.failed
-        self._apply_vector_feedback(
-            ctx, fleet_local, selected_mask, failed_mask, float(np.sum(fleet_local)), training
+        fleet_energy = batch.fleet_energy_j
+        selected_mask = np.zeros(len(fleet_energy), dtype=bool)
+        selected_mask[batch.rows] = True
+        failed_mask = np.zeros(len(fleet_energy), dtype=bool)
+        failed_mask[batch.rows] = batch.failed
+        self._learn(
+            ctx, decision, fleet_energy, selected_mask, failed_mask,
+            batch.global_energy_j, training,
         )
         return True
-
-    def _apply_vector_feedback(
-        self,
-        ctx: RoundContext,
-        fleet_local: np.ndarray,
-        selected_mask: np.ndarray,
-        failed_mask: np.ndarray,
-        global_energy: float,
-        training: RoundTrainingResult,
-    ) -> None:
-        agent = self.agent
-        assert isinstance(agent, VectorAutoFLAgent)
-        participant_local = fleet_local[selected_mask]
-        mean_participant = (
-            float(np.mean(participant_local)) if len(participant_local) else 0.0
-        )
-        self._reward.observe_round(global_energy, mean_participant)
-        # Rewards land on the round's observable candidates — the same rows the agent
-        # holds pending transitions for (offline devices got no transition).
-        candidate_rows = self._candidate_rows(ctx)
-        rewards = self._reward.rewards_batch(
-            global_energy_j=global_energy,
-            local_energy_j=fleet_local[candidate_rows],
-            accuracy=training.accuracy,
-            previous_accuracy=training.previous_accuracy,
-            selected=selected_mask[candidate_rows],
-            failed=failed_mask[candidate_rows],
-        )
-        agent.record_rewards(rewards)
 
     def feedback(
         self,
@@ -197,56 +161,71 @@ class AutoFLPolicy(Policy):
         execution: RoundExecution,
         training: RoundTrainingResult,
     ) -> None:
-        agent = self._ensure_agent(ctx)
-        if self._vectorized:
-            # Slow array-path fallback for callers that only have the scalar execution
-            # object; the simulation runner routes through feedback_batch instead.
-            assert isinstance(agent, VectorAutoFLAgent)
-            fleet_ids = ctx.environment.fleet_arrays.device_ids
-            selected_set = set(decision.participants)
-            failed_set = set(execution.failed_ids)
-            energies = [execution.energy.device(int(d)) for d in fleet_ids]
-            fleet_local = np.array(
-                [
-                    energy.total_j if int(d) in selected_set else energy.idle_j
-                    for d, energy in zip(fleet_ids, energies)
-                ],
-                dtype=np.float64,
-            )
-            selected_mask = np.array([int(d) in selected_set for d in fleet_ids])
-            failed_mask = np.array([int(d) in failed_set for d in fleet_ids])
-            self._apply_vector_feedback(
-                ctx, fleet_local, selected_mask, failed_mask,
-                execution.energy.global_j, training,
-            )
-            return
-        assert isinstance(agent, AutoFLAgent)
+        # Entry point for callers that only hold the scalar view; the simulation runner
+        # routes through feedback_batch and never builds one.
+        fleet_ids = ctx.environment.fleet_arrays.device_ids.tolist()
         selected = set(decision.participants)
-        global_energy = execution.energy.global_j
-        participant_energies = [
-            execution.energy.device(device_id).total_j for device_id in selected
-        ]
-        mean_participant = float(np.mean(participant_energies)) if participant_energies else 0.0
-        self._reward.observe_round(global_energy, mean_participant)
-
-        # Mid-round failures feed back as unreliability: a failed pick wasted energy and
-        # contributed nothing, so its reward collapses to the penalty branch and the
-        # Q-tables learn to avoid re-selecting devices in that (state, action).
         failed = set(execution.failed_ids)
-        rewards: dict[int, float] = {}
-        for device in ctx.environment.fleet:
-            device_id = device.device_id
-            energy = execution.energy.device(device_id)
-            local_energy = energy.total_j if device_id in selected else energy.idle_j
-            rewards[device_id] = self._reward.reward(
-                global_energy_j=global_energy,
-                local_energy_j=local_energy,
-                accuracy=training.accuracy,
-                previous_accuracy=training.previous_accuracy,
-                selected=device_id in selected,
-                failed=device_id in failed,
-            )
-        agent.record_rewards(rewards)
+        energies = [execution.energy.device(device_id) for device_id in fleet_ids]
+        fleet_energy = np.array(
+            [
+                energy.total_j if device_id in selected else energy.idle_j
+                for device_id, energy in zip(fleet_ids, energies)
+            ],
+            dtype=np.float64,
+        )
+        selected_mask = np.array([device_id in selected for device_id in fleet_ids])
+        failed_mask = np.array([device_id in failed for device_id in fleet_ids])
+        self._learn(
+            ctx, decision, fleet_energy, selected_mask, failed_mask,
+            execution.energy.global_j, training,
+        )
+
+    def _learn(
+        self,
+        ctx: RoundContext,
+        decision: SelectionDecision,
+        fleet_energy: np.ndarray,
+        selected_mask: np.ndarray,
+        failed_mask: np.ndarray,
+        global_energy: float,
+        training: RoundTrainingResult,
+    ) -> None:
+        """Turn one round's measured energies and accuracy into Q-learning rewards.
+
+        ``fleet_energy`` is every device's local energy (paper Eq. 5) in fleet order and
+        ``global_energy`` their sum (Eq. 6); the masks mark the selected and the failed
+        devices, also in fleet order.
+        """
+        agent = self._ensure_agent(ctx)
+        if isinstance(agent, VectorAutoFLAgent):
+            participant_energy = fleet_energy[selected_mask]
+        else:
+            # The scalar agent averages in set iteration order; the mean keeps its bits.
+            rows = ctx.environment.fleet_arrays.rows_for(list(set(decision.participants)))
+            participant_energy = fleet_energy[rows]
+        mean_participant = (
+            float(np.mean(participant_energy)) if len(participant_energy) else 0.0
+        )
+        self._reward.observe_round(global_energy, mean_participant)
+        # Rewards land on the round's observable candidates — the devices the agent
+        # holds pending transitions for (offline devices got no transition).  Mid-round
+        # failures take the penalty branch, so the Q-tables learn to avoid re-selecting
+        # unreliable devices in that (state, action).
+        candidate_rows = self._candidate_rows(ctx)
+        rewards = self._reward.rewards_batch(
+            global_energy_j=global_energy,
+            local_energy_j=fleet_energy[candidate_rows],
+            accuracy=training.accuracy,
+            previous_accuracy=training.previous_accuracy,
+            selected=selected_mask[candidate_rows],
+            failed=failed_mask[candidate_rows],
+        )
+        if isinstance(agent, VectorAutoFLAgent):
+            agent.record_rewards(rewards)
+        else:
+            candidate_ids = ctx.environment.fleet_arrays.device_ids[candidate_rows]
+            agent.record_rewards(dict(zip(candidate_ids.tolist(), rewards.tolist())))
 
     def reward_history(self) -> list[float]:
         """Mean per-round reward trajectory (Figure 15 convergence analysis)."""

@@ -26,7 +26,7 @@ from repro.core.selection import (
     effective_num_participants,
     scale_template,
 )
-from repro.devices.device import ExecutionTarget
+from repro.devices.device import ExecutionTarget, execution_target
 from repro.devices.fleet_arrays import (
     PROC_CPU,
     PROCESSOR_CODES,
@@ -80,9 +80,8 @@ class _CandidatePlan:
     def targets(self) -> dict[int, ExecutionTarget]:
         """Materialise the per-device execution targets of this plan."""
         return {
-            device_id: ExecutionTarget(
-                processor=PROCESSOR_NAMES[int(self.processors[i])],
-                vf_step=int(self.vf_steps[i]),
+            device_id: execution_target(
+                PROCESSOR_NAMES[int(self.processors[i])], int(self.vf_steps[i])
             )
             for i, device_id in enumerate(self.participants)
         }

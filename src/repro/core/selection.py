@@ -68,10 +68,11 @@ class Policy:
         """Array-form feedback: return True if handled, False to request :meth:`feedback`.
 
         The simulation runner offers the round outcome in batch (array) form first;
-        policies with a vectorised learning path accept it here and skip the scalar
-        :class:`RoundExecution` materialisation cost.  The default declines.
+        accepting it here skips the scalar :class:`RoundExecution` materialisation.
+        The default accepts for non-learning policies, whose :meth:`feedback` is a
+        no-op, and declines for learning ones.
         """
-        return False
+        return not self.uses_feedback
 
 
 def effective_num_participants(ctx: RoundContext) -> int:

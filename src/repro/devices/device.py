@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.devices.performance import ComputeWorkload, TrainingTimeModel
 from repro.devices.power import awake_power, busy_power_at_frequency
@@ -30,6 +31,16 @@ class ExecutionTarget:
     def label(self) -> str:
         """Human-readable label such as ``"cpu@12"``."""
         return f"{self.processor}@{self.vf_step}"
+
+
+@cache
+def execution_target(processor: str, vf_step: int) -> ExecutionTarget:
+    """The one shared :class:`ExecutionTarget` for ``(processor, vf_step)``.
+
+    Targets are immutable, so round records and selection decisions all hold the same
+    few instances instead of a fresh object per selected device and round.
+    """
+    return ExecutionTarget(processor=processor, vf_step=int(vf_step))
 
 
 @dataclass(frozen=True)

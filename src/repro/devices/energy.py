@@ -8,9 +8,24 @@ containers here hold those quantities for one aggregation round.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import SimulationError
+
+
+def sequential_sum(values: Iterable[float] | np.ndarray) -> float:
+    """Sum energies strictly left to right (``0.0`` for no values).
+
+    This is the summation order of every round energy total.  ``np.add.accumulate``
+    runs it over an array with no per-element Python, whereas ``np.sum`` sums pairwise
+    and the built-in ``sum`` compensates from Python 3.12 on — both give other bits.
+    """
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=np.float64)
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -56,17 +71,17 @@ class RoundEnergyAccount:
     @property
     def global_j(self) -> float:
         """Total energy over the whole population (paper Eq. 6, ``R_energy_global``)."""
-        return sum(energy.total_j for energy in self.per_device.values())
+        return sequential_sum(energy.total_j for energy in self.per_device.values())
 
     @property
     def participant_j(self) -> float:
         """Total active (compute + communication) energy of the round's participants."""
-        return sum(energy.active_j for energy in self.per_device.values())
+        return sequential_sum(energy.active_j for energy in self.per_device.values())
 
     @property
     def idle_total_j(self) -> float:
         """Total idle energy of non-participants."""
-        return sum(energy.idle_j for energy in self.per_device.values())
+        return sequential_sum(energy.idle_j for energy in self.per_device.values())
 
     def merge(self, other: "RoundEnergyAccount") -> "RoundEnergyAccount":
         """Combine two accounts (summing overlapping devices) into a new account."""

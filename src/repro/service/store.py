@@ -110,12 +110,28 @@ class ArtifactStore:
             conn = sqlite3.connect(
                 self.path, timeout=self.timeout_s, check_same_thread=False
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.timeout_s * 1000)}")
             self._conn = conn
             self._conn_pid = os.getpid()
         return self._conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        # Two processes opening a fresh file race to switch it to WAL, and the loser
+        # can get "database is locked" at once instead of waiting out the busy
+        # timeout.  Retry the switch within that same timeout.
+        deadline = time.monotonic() + self.timeout_s
+        delay_s = 0.005
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(delay_s)
+                delay_s = min(delay_s * 2, 0.1)
 
     def close(self) -> None:
         """Close the current process's connection (reopened lazily on next use)."""

@@ -9,60 +9,28 @@ replicates round by round and executes each round's device physics as a single s
 
 The control plane stays per-replicate and follows the exact per-round call order of the
 solo runner — online mask, condition sampling, selection, fault draw — on each replicate's
-own RNG streams, and the round records are assembled with the same floating-point
-summation order the scalar path uses.  Every replicate's :class:`SimulationResult` is
-therefore byte-identical (``to_json``) to running that seed alone.
+own RNG streams, and the round records come from the solo runner's ``record_from_batch``.
+Every replicate's :class:`SimulationResult` is therefore byte-identical (``to_json``) to
+running that seed alone.
 
 The path applies only to non-learning policies (``uses_feedback`` False) without a round
-observer: it skips the per-round feedback call and scalar-execution materialisation
-entirely, which is where the speed-up comes from.
+observer, because it skips the per-round feedback call and the observer hook.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.sim.context import RoundContext
-from repro.sim.results import BatchRoundExecution, RoundRecord, SimulationResult
+from repro.sim.results import SimulationResult, record_from_batch
 from repro.sim.round_engine import execute_batch_replicated
 from repro.sim.runner import FLSimulation
 
-
-def _record_from_batch(
-    round_index: int,
-    decision,
-    batch: BatchRoundExecution,
-    training,
-    online_mask: np.ndarray | None,
-    rows: np.ndarray,
-) -> RoundRecord:
-    """Assemble a round record from the batch arrays, bit-matching the scalar path.
-
-    The scalar runner sums device energies as Python floats in selection order
-    (participants) and fleet order (global); both sums are reproduced here from the
-    batch arrays via ``tolist()`` so the stored floats are identical.  ``rows`` maps
-    the selection order onto fleet rows.
-    """
-    participant_totals = (batch.compute_j + batch.communication_j) + batch.waiting_j
-    fleet_totals = batch.idle_j.copy()
-    fleet_totals[rows] = participant_totals
-    return RoundRecord(
-        round_index=round_index,
-        selected_ids=tuple(sorted(decision.participants)),
-        dropped_ids=tuple(batch.dropped_ids),
-        targets=dict(decision.targets),
-        round_time_s=batch.round_time_s,
-        participant_energy_j=sum(participant_totals.tolist()),
-        global_energy_j=sum(fleet_totals.tolist()),
-        accuracy=training.accuracy,
-        accuracy_improvement=training.accuracy_improvement,
-        failed_ids=tuple(batch.failed_ids),
-        num_online=None if online_mask is None else int(online_mask.sum()),
-    )
+#: Record assembly, shared with the solo runner.  The loop below calls it through this
+#: module global, so a profiler can wrap the replicated record path on its own.
+_record_from_batch = record_from_batch
 
 
 class ReplicatedSimulation:
@@ -141,9 +109,8 @@ class ReplicatedSimulation:
             for pos, i in enumerate(active):
                 batch = batches[pos]
                 training = sims[i].backend.run_round(batch.participant_ids)
-                rows = sims[i].environment.fleet_arrays.rows_for(batch.selected_ids)
                 record = _record_from_batch(
-                    round_index, decisions[pos], batch, training, masks[pos], rows
+                    round_index, decisions[pos], batch, training, masks[pos]
                 )
                 results[i].append(record)
                 if sims[i]._tracker.update(round_index, record.accuracy):

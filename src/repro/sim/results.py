@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.devices.device import ExecutionTarget
-from repro.devices.energy import DeviceEnergy, RoundEnergyAccount
+from repro.devices.device import ExecutionTarget, execution_target
+from repro.devices.energy import DeviceEnergy, RoundEnergyAccount, sequential_sum
 from repro.devices.fleet_arrays import PROCESSOR_NAMES
 from repro.exceptions import SimulationError
 from repro.fl.metrics import EfficiencySummary
+
+if TYPE_CHECKING:  # pragma: no cover - imports only used for typing
+    from repro.fl.server import RoundTrainingResult
+    from repro.sim.context import SelectionDecision
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class RoundExecution:
     @property
     def participant_energy_j(self) -> float:
         """Energy drawn by the selected devices this round (compute, radio and waiting)."""
-        return sum(outcome.energy.total_j for outcome in self.outcomes.values())
+        return sequential_sum(outcome.energy.total_j for outcome in self.outcomes.values())
 
 
 @dataclass
@@ -82,8 +88,8 @@ class BatchRoundExecution:
     produced it; ``idle_j`` is fleet-length (fleet order) and zero at participant rows.
     The container exposes the same aggregate quantities as :class:`RoundExecution`
     without materialising per-device Python objects — :meth:`to_execution` converts to
-    the scalar representation when a consumer (e.g. a learning policy's feedback hook)
-    needs one.
+    the scalar representation for the few consumers that need one (a third-party
+    policy's scalar feedback hook, the invariant auditor's cross-check).
     """
 
     selected_ids: np.ndarray
@@ -100,10 +106,18 @@ class BatchRoundExecution:
     idle_j: np.ndarray
     #: Mid-round failures (fault injection); defaults to all-False for static fleets.
     failed: np.ndarray | None = None
+    #: Fleet rows of ``selected_ids`` (the engine passes the rows it gathered with);
+    #: looked up from ``fleet_device_ids`` when omitted.
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.failed is None:
             self.failed = np.zeros(len(self.selected_ids), dtype=bool)
+        if self.rows is None:
+            sorter = np.argsort(self.fleet_device_ids, kind="stable")
+            self.rows = sorter[
+                np.searchsorted(self.fleet_device_ids, self.selected_ids, sorter=sorter)
+            ]
 
     @property
     def total_time_s(self) -> np.ndarray:
@@ -131,19 +145,40 @@ class BatchRoundExecution:
         return sorted(int(device_id) for device_id in self.selected_ids[self.failed])
 
     @property
+    def participant_energies_j(self) -> np.ndarray:
+        """Per-participant round energy (compute, radio and waiting), selection order."""
+        return (self.compute_j + self.communication_j) + self.waiting_j
+
+    @cached_property
+    def fleet_energy_j(self) -> np.ndarray:
+        """Every device's energy this round, fleet order; built once, on first use.
+
+        Participants hold :attr:`participant_energies_j`, everyone else their idle draw:
+        the per-device local energies of AutoFL's reward (paper Eq. 5), which add up to
+        the global energy (Eq. 6).  Policy feedback and the round record share this one
+        array, so treat it as read-only.
+        """
+        energy = self.idle_j.copy()
+        energy[self.rows] = self.participant_energies_j
+        return energy
+
+    @property
     def participant_energy_j(self) -> float:
-        """Energy drawn by the selected devices this round (compute, radio and waiting)."""
-        return float(np.sum(self.compute_j + self.communication_j + self.waiting_j))
+        """Energy drawn by the selected devices this round, summed in selection order."""
+        return sequential_sum(self.participant_energies_j)
 
     @property
     def idle_energy_j(self) -> float:
         """Total idle energy of the non-selected devices."""
-        return float(np.sum(self.idle_j))
+        return sequential_sum(self.idle_j)
 
     @property
     def global_energy_j(self) -> float:
-        """Population-wide energy of the round (participants plus idling devices)."""
-        return self.participant_energy_j + self.idle_energy_j
+        """Population-wide energy of the round, summed in fleet order.
+
+        Bit-identical to the per-device account of :meth:`to_execution`.
+        """
+        return sequential_sum(self.fleet_energy_j)
 
     def to_execution(self) -> "RoundExecution":
         """Materialise the scalar :class:`RoundExecution` equivalent of this round."""
@@ -157,9 +192,8 @@ class BatchRoundExecution:
             )
             outcomes[device_id] = DeviceRoundOutcome(
                 device_id=device_id,
-                target=ExecutionTarget(
-                    processor=PROCESSOR_NAMES[int(self.processors[i])],
-                    vf_step=int(self.vf_steps[i]),
+                target=execution_target(
+                    PROCESSOR_NAMES[int(self.processors[i])], int(self.vf_steps[i])
                 ),
                 compute_time_s=float(self.compute_time_s[i]),
                 communication_time_s=float(self.communication_time_s[i]),
@@ -210,6 +244,33 @@ class RoundRecord:
             str(device_id): asdict(target) for device_id, target in self.targets.items()
         }
         return payload
+
+
+def record_from_batch(
+    round_index: int,
+    decision: SelectionDecision,
+    batch: BatchRoundExecution,
+    training: RoundTrainingResult,
+    online_mask: np.ndarray | None,
+) -> RoundRecord:
+    """Assemble one round's record straight from the batch arrays.
+
+    The energy totals are the batch's sequential sums, bit-identical to those of the
+    per-device account :meth:`BatchRoundExecution.to_execution` would build.
+    """
+    return RoundRecord(
+        round_index=round_index,
+        selected_ids=tuple(sorted(decision.participants)),
+        dropped_ids=tuple(batch.dropped_ids),
+        targets=dict(decision.targets),
+        round_time_s=batch.round_time_s,
+        participant_energy_j=batch.participant_energy_j,
+        global_energy_j=batch.global_energy_j,
+        accuracy=training.accuracy,
+        accuracy_improvement=training.accuracy_improvement,
+        failed_ids=tuple(batch.failed_ids),
+        num_online=None if online_mask is None else int(online_mask.sum()),
+    )
 
 
 @dataclass

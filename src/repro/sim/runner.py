@@ -18,6 +18,7 @@ from repro.sim.results import (
     RoundExecution,
     RoundRecord,
     SimulationResult,
+    record_from_batch,
 )
 from repro.sim.round_engine import RoundEngine
 
@@ -52,14 +53,14 @@ class RoundObserver(Protocol):
     Observers receive every executed round *after* its record is assembled but before
     the simulation moves on — :mod:`repro.validation` plugs its invariant auditors in
     here, so any consumer (fuzzer, ``BatchRunner`` self-checks, ad-hoc debugging) can
-    audit the raw :class:`BatchRoundExecution` without re-running the engine.
+    audit the raw :class:`BatchRoundExecution` without re-running the engine.  An
+    observer that wants the per-device scalar view calls ``batch.to_execution()``.
     """
 
     def __call__(
         self,
         round_index: int,
         batch: BatchRoundExecution,
-        execution: RoundExecution,
         record: RoundRecord,
         online_mask: np.ndarray | None,
     ) -> None:
@@ -157,37 +158,17 @@ class FLSimulation:
             # Mid-round faults are drawn after selection (the failure of a device that
             # was never picked is unobservable) from the dedicated dynamics RNG stream.
             faults = self._env.sample_faults(decision.participants, round_index)
-            # The hot path is the vectorised engine; the scalar RoundExecution view is
-            # materialised once per round for the policy feedback hooks and the record.
             batch = self._engine.execute_batch(
                 decision, condition_arrays, faults=faults, online_mask=online_mask
             )
-            execution = batch.to_execution()
         with tracer.span("feedback", category="engine", round=round_index):
-            training = self._backend.run_round(execution.participant_ids)
-            # Offer the outcome in array form first; policies with a vectorised
-            # learning path (autofl-fast) handle it there and skip the scalar loop.
+            training = self._backend.run_round(batch.participant_ids)
+            # The outcome is offered in array form; only a policy that declines it pays
+            # for the per-device scalar RoundExecution view.
             feedback_batch = getattr(self._policy, "feedback_batch", None)
-            handled = (
-                bool(feedback_batch(ctx, decision, batch, training))
-                if feedback_batch is not None
-                else False
-            )
-            if not handled:
-                self._policy.feedback(ctx, decision, execution, training)
-        record = RoundRecord(
-            round_index=round_index,
-            selected_ids=tuple(sorted(decision.participants)),
-            dropped_ids=tuple(execution.dropped_ids),
-            targets=dict(decision.targets),
-            round_time_s=execution.round_time_s,
-            participant_energy_j=execution.participant_energy_j,
-            global_energy_j=execution.energy.global_j,
-            accuracy=training.accuracy,
-            accuracy_improvement=training.accuracy_improvement,
-            failed_ids=tuple(execution.failed_ids),
-            num_online=None if online_mask is None else int(online_mask.sum()),
-        )
+            if feedback_batch is None or not feedback_batch(ctx, decision, batch, training):
+                self._policy.feedback(ctx, decision, batch.to_execution(), training)
+        record = record_from_batch(round_index, decision, batch, training, online_mask)
         registry = telemetry.get_registry()
         if registry.enabled:
             policy_name = self._policy.name
@@ -211,11 +192,7 @@ class FLSimulation:
             ).observe(record.global_energy_j, policy=policy_name)
         if self._round_observer is not None:
             self._round_observer(
-                round_index=round_index,
-                batch=batch,
-                execution=execution,
-                record=record,
-                online_mask=online_mask,
+                round_index=round_index, batch=batch, record=record, online_mask=online_mask
             )
         return record
 

@@ -233,13 +233,10 @@ def check_batch_execution(
     batch: BatchRoundExecution,
     online_mask: np.ndarray | None = None,
     round_index: int | None = None,
-    execution: RoundExecution | None = None,
 ) -> list[InvariantViolation]:
     """Audit one :class:`BatchRoundExecution` (the vectorised engine's native output).
 
-    ``execution`` is the batch's already-materialised scalar view, when the caller has
-    one (the simulation runner builds it every round); without it the checker
-    materialises its own for the cross-representation energy identity.
+    The cross-representation energy identity materialises the batch's scalar view.
     """
     violations: list[InvariantViolation] = []
     dropped = np.asarray(batch.dropped, dtype=bool)
@@ -372,7 +369,7 @@ def check_batch_execution(
     # agree with the materialised per-device-object account.  Materialising requires
     # well-formed arrays, so the cross-check is skipped once those are already broken.
     if not any(violation.invariant == "finite-nonnegative" for violation in violations):
-        scalar = execution if execution is not None else batch.to_execution()
+        scalar = batch.to_execution()
         if not _close(batch.global_energy_j, scalar.energy.global_j):
             violations.append(
                 _violation(
@@ -503,13 +500,12 @@ class InvariantAuditor:
         self,
         round_index: int,
         batch: BatchRoundExecution,
-        execution: RoundExecution,
         record: RoundRecord,
         online_mask: np.ndarray | None,
     ) -> None:
         """Audit one executed round (the runner's observer hook)."""
         violations = check_batch_execution(
-            batch, online_mask=online_mask, round_index=round_index, execution=execution
+            batch, online_mask=online_mask, round_index=round_index
         )
         violations.extend(check_round_record(record, num_devices=self._num_devices))
         violations.extend(self._cross_check(batch, record, round_index))

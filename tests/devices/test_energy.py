@@ -1,9 +1,10 @@
 """Tests for per-round energy accounting."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.devices.energy import DeviceEnergy, RoundEnergyAccount
+from repro.devices.energy import DeviceEnergy, RoundEnergyAccount, sequential_sum
 from repro.exceptions import SimulationError
 
 
@@ -61,3 +62,13 @@ class TestRoundEnergyAccount:
         assert merged.device(2).compute_j == pytest.approx(3.0)
         # Originals unchanged.
         assert left.device(0).total_j == pytest.approx(1.0)
+
+
+class TestSequentialSum:
+    @given(values=st.lists(st.floats(0, 1e6), max_size=50))
+    def test_array_and_iterable_sum_strictly_left_to_right(self, values):
+        expected = 0.0
+        for value in values:
+            expected += value
+        assert sequential_sum(np.array(values, dtype=np.float64)) == expected
+        assert sequential_sum(iter(values)) == expected

@@ -135,3 +135,20 @@ class TestParallelMigration:
         # correctness claim is the store content above, not who copied what.
         receipt = store.get_meta("migrated:results.jsonl")
         assert 0 <= json.loads(receipt)["migrated"] <= 4
+
+
+class TestFirstOpenRace:
+    def test_concurrent_first_opens_of_a_fresh_store_all_succeed(self, tmp_path):
+        # Every opener switches the same fresh file to WAL at once; a loser of that race
+        # must wait its turn, never fail with "database is locked".  Two openers lose
+        # most often, so most trials use two.
+        for trial, openers in enumerate([2, 2, 2, 8] * 8):
+            path = tmp_path / f"trial-{trial}" / "results.sqlite"
+            barrier = multiprocessing.Barrier(openers)
+
+            def open_fresh():
+                barrier.wait()
+                ArtifactStore(path)
+
+            _run_procs([(open_fresh, ())] * openers)
+            assert len(ArtifactStore(path)) == 0

@@ -1,6 +1,7 @@
 """Tests for the SQLite artifact store: cache semantics, migration and artifacts."""
 
 import json
+import sqlite3
 import warnings
 
 import pytest
@@ -26,6 +27,40 @@ def store(tmp_path):
 @pytest.fixture
 def result():
     return run_experiment(_spec())
+
+
+class _LockedConnection:
+    """Connection stand-in whose WAL switch reports "database is locked" at first."""
+
+    def __init__(self, locked_attempts, error="database is locked"):
+        self.locked_attempts = locked_attempts
+        self.error = error
+        self.attempts = 0
+
+    def execute(self, sql):
+        self.attempts += 1
+        if self.attempts <= self.locked_attempts:
+            raise sqlite3.OperationalError(self.error)
+
+
+class TestWalSwitch:
+    """The first-open WAL switch waits out a concurrent opener instead of failing."""
+
+    def test_locked_switch_is_retried_until_it_succeeds(self, store):
+        conn = _LockedConnection(locked_attempts=3)
+        store._enable_wal(conn)
+        assert conn.attempts == 4
+
+    def test_switch_locked_past_the_timeout_raises(self, tmp_path):
+        store = ArtifactStore(tmp_path / "results.sqlite", timeout_s=0.05)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            store._enable_wal(_LockedConnection(locked_attempts=10**6))
+
+    def test_other_errors_are_not_retried(self, store):
+        conn = _LockedConnection(locked_attempts=5, error="disk I/O error")
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+            store._enable_wal(conn)
+        assert conn.attempts == 1
 
 
 class TestCacheSemantics:
