@@ -14,7 +14,7 @@ import numpy as np
 from _helpers import print_series, realistic_spec
 
 from repro.core.controller import AutoFLPolicy
-from repro.core.qtable import QTableStore
+from repro.core.qtable import PER_DEVICE, PER_TIER
 from repro.sim.context import RoundContext
 from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import build_environment, build_surrogate_backend
@@ -22,11 +22,13 @@ from repro.sim.scenarios import build_environment, build_surrogate_backend
 ROUNDS = 90
 
 
-def _train_policy(sharing: str, seed: int = 3):
+def _train_policy(sharing: str, vectorized: bool, seed: int = 3):
     spec = realistic_spec("cnn-mnist", num_devices=100, seed=seed)
     environment = build_environment(spec)
     backend = build_surrogate_backend(environment)
-    policy = AutoFLPolicy(rng=np.random.default_rng(seed), qtable_sharing=sharing)
+    policy = AutoFLPolicy(
+        rng=np.random.default_rng(seed), qtable_sharing=sharing, vectorized=vectorized
+    )
     engine = RoundEngine(environment)
     overhead_s = []
     for round_index in range(ROUNDS):
@@ -51,9 +53,13 @@ def _train_policy(sharing: str, seed: int = 3):
 
 
 def _run():
+    # autofl applies Algorithm 1's update sequentially, autofl-fast batch-synchronously.
     return {
-        "per-tier": _train_policy(QTableStore.PER_TIER),
-        "per-device": _train_policy(QTableStore.PER_DEVICE),
+        name: {
+            "per-tier": _train_policy(PER_TIER, vectorized),
+            "per-device": _train_policy(PER_DEVICE, vectorized),
+        }
+        for name, vectorized in (("autofl", False), ("autofl-fast", True))
     }
 
 
@@ -69,28 +75,31 @@ def _reward_convergence_round(rewards, window=10, tolerance=5.0):
 
 def test_figure15_learning_convergence_and_overhead(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    shared, per_device = results["per-tier"], results["per-device"]
+    for name, result in results.items():
+        _check_figure15(name, result["per-tier"], result["per-device"])
 
+
+def _check_figure15(name, shared, per_device):
     shared_convergence = _reward_convergence_round(shared["rewards"])
     per_device_convergence = _reward_convergence_round(per_device["rewards"])
     print_series(
-        "Figure 15 — reward convergence round",
+        f"Figure 15 — reward convergence round ({name})",
         {"shared Q-tables": shared_convergence, "per-device Q-tables": per_device_convergence},
     )
     print_series(
-        "Section 6.4 — per-round controller overhead (ms)",
+        f"Section 6.4 — per-round controller overhead (ms, {name})",
         {
             "shared": shared["mean_overhead_s"] * 1e3,
             "per-device": per_device["mean_overhead_s"] * 1e3,
         },
     )
     print_series(
-        "Section 6.4 — Q-table entries",
+        f"Section 6.4 — Q-table entries ({name})",
         {"shared": shared["qtable_entries"], "per-device": per_device["qtable_entries"]},
     )
 
     # The reward improves over training and stabilises well within the round budget.
-    for result in results.values():
+    for result in (shared, per_device):
         rewards = result["rewards"]
         assert len(rewards) == ROUNDS
         assert np.mean(rewards[-15:]) > np.mean(rewards[:15])

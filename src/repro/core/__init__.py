@@ -8,11 +8,10 @@ oracle policies (``Oparticipant``, ``OFL``) used as comparison points also live 
 """
 
 from repro.core.actions import ActionCatalog, IDLE_ACTION
-from repro.core.agent import AutoFLAgent, QLearningConfig
+from repro.core.agent import QLearningConfig
 from repro.core.controller import AutoFLPolicy
 from repro.core.dbscan import DBSCAN1D, derive_bins
 from repro.core.oracle import OracleFLPolicy, OracleParticipantPolicy
-from repro.core.qtable import QTable, QTableStore
 from repro.core.reward import RewardCalculator, RewardWeights
 from repro.core.selection import (
     Policy,
@@ -26,7 +25,6 @@ from repro.core.state import GlobalState, LocalState, StateEncoder
 
 __all__ = [
     "ActionCatalog",
-    "AutoFLAgent",
     "AutoFLPolicy",
     "DBSCAN1D",
     "GlobalState",
@@ -38,8 +36,6 @@ __all__ = [
     "Policy",
     "PowerPolicy",
     "QLearningConfig",
-    "QTable",
-    "QTableStore",
     "RandomPolicy",
     "RewardCalculator",
     "RewardWeights",

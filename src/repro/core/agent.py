@@ -8,14 +8,14 @@ completed at the start of round *t + 1*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from repro.core.actions import ActionCatalog, IDLE_ACTION
-from repro.core.qtable import QTableStore, VectorQTableStore
-from repro.core.state import GlobalState, LocalState, StateEncoder
-from repro.devices.fleet import Fleet
+from repro.core.actions import ActionCatalog
+from repro.core.qtable import PER_DEVICE, PER_TIER, VectorQTableStore
+from repro.core.state import GlobalState, StateEncoder
 from repro.devices.fleet_arrays import TIER_ORDER
 from repro.exceptions import PolicyError
 
@@ -35,206 +35,6 @@ class QLearningConfig:
             raise PolicyError("discount_factor must be in [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
             raise PolicyError("epsilon must be in [0, 1]")
-
-
-@dataclass
-class PendingTransition:
-    """A (state, action, reward) tuple awaiting its next-state bootstrap."""
-
-    global_state: GlobalState
-    local_state: LocalState
-    action_id: int
-    reward: float = 0.0
-    reward_ready: bool = False
-
-
-@dataclass
-class AgentSelection:
-    """Result of one agent decision: ranked participants and their chosen actions."""
-
-    participant_ids: list[int]
-    actions: dict[int, int]
-    explored: bool = False
-    pending: dict[int, PendingTransition] = field(default_factory=dict)
-
-
-class AutoFLAgent:
-    """Per-fleet Q-learning agent selecting participants and execution targets."""
-
-    def __init__(
-        self,
-        fleet: Fleet,
-        catalog: ActionCatalog | None = None,
-        config: QLearningConfig | None = None,
-        qtable_sharing: str = QTableStore.PER_TIER,
-        rng: np.random.Generator | None = None,
-        init_scale: float = 0.01,
-    ) -> None:
-        self._fleet = fleet
-        self._catalog = catalog or ActionCatalog()
-        self._config = config or QLearningConfig()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._store = QTableStore(sharing=qtable_sharing, rng=self._rng, init_scale=init_scale)
-        self._pending: dict[int, PendingTransition] = {}
-        self._reward_history: list[float] = []
-
-    @property
-    def catalog(self) -> ActionCatalog:
-        """The per-device execution-target action catalog."""
-        return self._catalog
-
-    @property
-    def config(self) -> QLearningConfig:
-        """The Q-learning hyperparameters."""
-        return self._config
-
-    @property
-    def qtable_store(self) -> QTableStore:
-        """The underlying Q-table store."""
-        return self._store
-
-    @property
-    def reward_history(self) -> list[float]:
-        """Mean per-round reward over time (used for convergence analysis, Figure 15)."""
-        return list(self._reward_history)
-
-    # ------------------------------------------------------------------ selection
-    def _device_value(
-        self, device_id: int, global_state: GlobalState, local_state: LocalState
-    ) -> tuple[int, float]:
-        device = self._fleet[device_id]
-        table = self._store.table_for(device_id, device.tier)
-        return table.best_action(global_state, local_state, self._catalog.action_ids)
-
-    def select(
-        self,
-        global_state: GlobalState,
-        local_states: dict[int, LocalState],
-        num_participants: int,
-    ) -> AgentSelection:
-        """Epsilon-greedy selection of participants and their execution-target actions.
-
-        Before ranking, any pending Q-updates from the previous round are completed using
-        the newly observed states (the ``S'`` of Algorithm 1).
-        """
-        if num_participants <= 0:
-            raise PolicyError("num_participants must be positive")
-        if len(local_states) < num_participants:
-            raise PolicyError("not enough devices with observed local states")
-        self._complete_pending_updates(global_state, local_states)
-
-        device_ids = list(local_states)
-        explored = bool(self._rng.random() < self._config.epsilon)
-        if explored:
-            chosen = [
-                int(device_id)
-                for device_id in self._rng.choice(device_ids, size=num_participants, replace=False)
-            ]
-            actions = {
-                device_id: int(self._rng.choice(self._catalog.action_ids))
-                for device_id in chosen
-            }
-        else:
-            # Ties (devices sharing a Q-table entry) are broken randomly to avoid a biased
-            # selection among equivalent devices (paper Section 4.2).
-            scored = [
-                (
-                    device_id,
-                    *self._device_value(device_id, global_state, local_states[device_id]),
-                )
-                for device_id in device_ids
-            ]
-            jitter = {device_id: self._rng.random() * 1e-6 for device_id in device_ids}
-            scored.sort(key=lambda item: item[2] + jitter[item[0]], reverse=True)
-            top = scored[:num_participants]
-            chosen = [device_id for device_id, _action, _value in top]
-            actions = {device_id: action for device_id, action, _value in top}
-
-        pending: dict[int, PendingTransition] = {}
-        for device_id in device_ids:
-            action_id = actions.get(device_id, IDLE_ACTION)
-            pending[device_id] = PendingTransition(
-                global_state=global_state,
-                local_state=local_states[device_id],
-                action_id=action_id,
-            )
-        self._pending = pending
-        return AgentSelection(
-            participant_ids=chosen, actions=actions, explored=explored, pending=pending
-        )
-
-    # ------------------------------------------------------------------ learning
-    def record_rewards(self, rewards: dict[int, float]) -> None:
-        """Attach the computed per-device rewards to the round's pending transitions."""
-        if not self._pending:
-            raise PolicyError("record_rewards called with no pending transitions")
-        for device_id, reward in rewards.items():
-            transition = self._pending.get(device_id)
-            if transition is None:
-                continue
-            transition.reward = reward
-            transition.reward_ready = True
-        ready = [t.reward for t in self._pending.values() if t.reward_ready]
-        if ready:
-            self._reward_history.append(float(np.mean(ready)))
-
-    def _complete_pending_updates(
-        self, new_global_state: GlobalState, new_local_states: dict[int, LocalState]
-    ) -> None:
-        """Apply the Q-learning update of Algorithm 1 for the previous round's transitions."""
-        if not self._pending:
-            return
-        lr = self._config.learning_rate
-        discount = self._config.discount_factor
-        for device_id, transition in self._pending.items():
-            if not transition.reward_ready:
-                continue
-            new_local = new_local_states.get(device_id)
-            if new_local is None:
-                # The device is unobservable this round (offline or churned away under
-                # fleet dynamics).  Bootstrap from the stored state instead of dropping
-                # the update — exact for a zero discount factor, a close approximation
-                # for the paper's 0.1 — so rewards for unreliable picks (which are
-                # exactly the devices likely to be offline next round) always land.
-                new_local = transition.local_state
-            device = self._fleet[device_id]
-            table = self._store.table_for(device_id, device.tier)
-            action_ids = self._catalog.action_ids
-            if transition.action_id == IDLE_ACTION:
-                # Track a dedicated idle entry so non-participation also accumulates value.
-                current = table.get(transition.global_state, transition.local_state, IDLE_ACTION)
-                lookup_ids = action_ids + [IDLE_ACTION]
-            else:
-                current = table.get(
-                    transition.global_state, transition.local_state, transition.action_id
-                )
-                lookup_ids = action_ids
-            _best_next_action, best_next_value = table.best_action(
-                new_global_state, new_local, lookup_ids
-            )
-            updated = current + lr * (
-                transition.reward + discount * best_next_value - current
-            )
-            table.set(
-                transition.global_state, transition.local_state, transition.action_id, updated
-            )
-        self._pending = {}
-
-    def flush(self, fallback_local_states: dict[int, LocalState] | None = None) -> None:
-        """Finalise any pending updates without a next state (end of a training job).
-
-        Uses the stored transition's own state as the bootstrap state, which is exact when
-        the discount factor is zero and a close approximation for the paper's 0.1.
-        """
-        if not self._pending:
-            return
-        states = {
-            device_id: transition.local_state for device_id, transition in self._pending.items()
-        }
-        if fallback_local_states:
-            states.update(fallback_local_states)
-        any_transition = next(iter(self._pending.values()))
-        self._complete_pending_updates(any_transition.global_state, states)
 
 
 def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -269,6 +69,16 @@ def runs_of_sorted(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first_index, np.diff(first_index, append=len(sorted_values))
 
 
+def _skip_idle_slot(matrix: np.ndarray, idle: np.ndarray) -> np.ndarray:
+    """Point the last (idle) column of each non-idle transition's row at column 0.
+
+    Non-idle transitions bootstrap over the actions alone; re-reading action 0 in the
+    idle slot leaves their max unchanged.  Works on values and on cell indices alike.
+    """
+    matrix[:, -1] = np.where(idle, matrix[:, -1], matrix[:, 0])
+    return matrix
+
+
 @dataclass
 class _VectorPending:
     """One round's pending transitions of :class:`VectorAutoFLAgent` as arrays."""
@@ -290,20 +100,23 @@ class VectorAgentSelection:
 
 
 class VectorAutoFLAgent:
-    """Array-native Q-learning agent: the AutoFL hot path without per-device Python.
+    """Array-native Q-learning agent: Algorithm 1 over the whole candidate set.
 
     State binning happens upstream as packed local codes
     (:meth:`~repro.core.state.StateEncoder.encode_local_codes`); lookup/argmax and the
     Q-update run as fancy indexing into :class:`VectorQTableStore` blocks.
 
-    Semantics relative to :class:`AutoFLAgent`: selection draws consume the *same* RNG
-    stream (one epsilon draw, then either the explore choices or one jitter draw per
-    candidate), and the Q-update is **batch-synchronous** — every bootstrap reads the
-    pre-round table, and duplicate writes to one shared cell fold with the exact
-    sequential recurrence.  With per-device table sharing no two candidates share a cell,
-    so batch-synchronous equals the scalar agent's sequential update exactly; with
-    per-tier sharing the scalar agent's intra-round read-after-write ordering is
-    intentionally not reproduced (that ordering is an artefact of its Python loop).
+    Every random draw follows Algorithm 1 run one device at a time: one epsilon draw,
+    then either the explore choices or one jitter draw per candidate, and each Q-cell's
+    initial value drawn when that cell is first read (:meth:`VectorQTableStore.initialise`).
+    Two update rules complete the previous round's transitions:
+
+    * **sequential** (the default, ``autofl``): the transitions apply in candidate order,
+      so a later transition reads an earlier one's write to a shared per-tier cell.
+    * **batch-synchronous** (``batch_synchronous=True``, ``autofl-fast``): every
+      bootstrap reads the pre-round table, and duplicate writes to one shared cell fold
+      with the exact sequential recurrence.  With per-device sharing no two candidates
+      share a cell and the two rules agree; with per-tier sharing they differ.
     """
 
     def __init__(
@@ -312,29 +125,29 @@ class VectorAutoFLAgent:
         device_ids: np.ndarray,
         catalog: ActionCatalog | None = None,
         config: QLearningConfig | None = None,
-        qtable_sharing: str = QTableStore.PER_TIER,
+        qtable_sharing: str = PER_TIER,
         rng: np.random.Generator | None = None,
         init_scale: float = 0.01,
+        batch_synchronous: bool = False,
     ) -> None:
-        if qtable_sharing not in (QTableStore.PER_DEVICE, QTableStore.PER_TIER):
-            raise PolicyError(f"unknown qtable sharing mode {qtable_sharing!r}")
         self._tier_codes = np.asarray(tier_codes, dtype=np.int64)
         self._device_ids = np.asarray(device_ids, dtype=np.int64)
+        # Selections hand out these ints, so every round's records share them.
+        self._device_id_list: list[int] = self._device_ids.tolist()
         self._catalog = catalog or ActionCatalog()
         self._config = config or QLearningConfig()
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._sharing = qtable_sharing
+        self._batch_synchronous = batch_synchronous
         self._action_ids = self._catalog.action_ids
-        self._action_id_array = np.array(self._action_ids, dtype=np.int64)
-        num_keys = (
-            len(self._tier_codes) if qtable_sharing == QTableStore.PER_DEVICE else len(TIER_ORDER)
-        )
+        num_keys = len(self._tier_codes) if qtable_sharing == PER_DEVICE else len(TIER_ORDER)
         self._store = VectorQTableStore(
             num_keys=num_keys,
             num_local_codes=StateEncoder.NUM_LOCAL_CODES,
             num_actions=len(self._action_ids),
             rng=self._rng,
             init_scale=init_scale,
+            sharing=qtable_sharing,
         )
         self._pending: _VectorPending | None = None
         self._reward_history: list[float] = []
@@ -360,7 +173,7 @@ class VectorAutoFLAgent:
         return list(self._reward_history)
 
     def _key_indices(self, rows: np.ndarray) -> np.ndarray:
-        if self._sharing == QTableStore.PER_DEVICE:
+        if self._sharing == PER_DEVICE:
             return rows
         return self._tier_codes[rows]
 
@@ -375,37 +188,38 @@ class VectorAutoFLAgent:
         """Epsilon-greedy selection over the observable candidates (fleet rows).
 
         ``candidate_rows`` / ``local_codes`` are aligned, in fleet order.  Pending
-        Q-updates from the previous round complete first, exactly like the scalar agent.
+        Q-updates from the previous round complete first, with these as ``S'``.
         """
         if num_participants <= 0:
             raise PolicyError("num_participants must be positive")
         if len(candidate_rows) < num_participants:
             raise PolicyError("not enough devices with observed local states")
+        candidate_rows = np.asarray(candidate_rows, dtype=np.int64)
+        local_codes = np.asarray(local_codes, dtype=np.int64)
         global_tuple = global_state.as_tuple()
         self._complete_pending_updates(global_tuple, candidate_rows, local_codes)
 
-        candidate_ids = self._device_ids[candidate_rows]
         num_actions = len(self._action_ids)
-        idle_col = self._store.idle_column
+        action_cols = np.full(len(candidate_rows), num_actions, dtype=np.int64)
         explored = bool(self._rng.random() < self._config.epsilon)
-        action_cols = np.full(len(candidate_rows), idle_col, dtype=np.int64)
         if explored:
-            chosen_ids = self._rng.choice(
-                candidate_ids, size=num_participants, replace=False
-            ).astype(np.int64)
-            sorter = np.argsort(candidate_ids, kind="stable")
-            positions = sorter[np.searchsorted(candidate_ids, chosen_ids, sorter=sorter)]
-            actions: dict[int, int] = {}
-            for position, device_id in zip(positions, chosen_ids):
-                action_id = int(self._rng.choice(self._action_ids))
-                actions[int(device_id)] = action_id
-                action_cols[position] = self._action_ids.index(action_id)
-            chosen = [int(device_id) for device_id in chosen_ids]
+            # Drawing positions consumes the stream exactly as drawing the ids would.
+            top = self._rng.choice(len(candidate_rows), size=num_participants, replace=False)
+            for position in top:
+                action_cols[position] = self._action_ids.index(
+                    int(self._rng.choice(self._action_ids))
+                )
         else:
-            block = self._store.block(global_tuple)
-            key_idx = self._key_indices(candidate_rows)
-            values = block[key_idx, local_codes, :num_actions]
-            # First-max-wins argmax matches the scalar best_action's strict-> scan.
+            table = self._store.table(global_tuple)
+            rows = self._store.row_index(self._key_indices(candidate_rows), local_codes)
+            values = table.take(rows, axis=0)[:, :num_actions]
+            unread = np.isnan(values)
+            if unread.any():
+                # Read order: candidate by candidate, action by action.
+                cells = rows[:, None] * (num_actions + 1) + np.arange(num_actions)
+                self._store.initialise([table], cells[unread])
+                values = table.take(rows, axis=0)[:, :num_actions]
+            # First-max-wins argmax, like a strict ``>`` scan over the actions.
             best_cols = np.argmax(values, axis=1)
             best_values = values[np.arange(len(values)), best_cols]
             # Ties (devices sharing a Q-table entry) are broken randomly to avoid a
@@ -413,15 +227,17 @@ class VectorAutoFLAgent:
             jitter = self._rng.random(len(candidate_rows)) * 1e-6
             top = stable_top_k(-(best_values + jitter), num_participants)
             action_cols[top] = best_cols[top]
-            chosen = [int(device_id) for device_id in candidate_ids[top]]
-            actions = {
-                int(candidate_ids[position]): self._action_ids[int(best_cols[position])]
-                for position in top
-            }
+        ids = self._device_id_list
+        chosen_rows = candidate_rows[top].tolist()
+        chosen = [ids[row] for row in chosen_rows]
+        actions = {
+            ids[row]: self._action_ids[col]
+            for row, col in zip(chosen_rows, action_cols[top].tolist())
+        }
         self._pending = _VectorPending(
             global_tuple=global_tuple,
-            rows=np.asarray(candidate_rows, dtype=np.int64),
-            local_codes=np.asarray(local_codes, dtype=np.int64),
+            rows=candidate_rows,
+            local_codes=local_codes,
             action_cols=action_cols,
         )
         return VectorAgentSelection(participant_ids=chosen, actions=actions, explored=explored)
@@ -442,15 +258,13 @@ class VectorAutoFLAgent:
         new_candidate_rows: np.ndarray,
         new_local_codes: np.ndarray,
     ) -> None:
-        """Batch-synchronous Q-update of Algorithm 1 for the previous round."""
+        """The Q-update of Algorithm 1 for the previous round's transitions."""
         pending = self._pending
         self._pending = None
         if pending is None or pending.rewards is None:
             return
-        lr = self._config.learning_rate
-        discount = self._config.discount_factor
+        store = self._store
         num_actions = len(self._action_ids)
-        idle_col = self._store.idle_column
 
         # Bootstrap state: the newly observed local code where the device is still
         # observable, otherwise the stored transition's own code (offline fallback).
@@ -459,36 +273,106 @@ class VectorAutoFLAgent:
         observed = new_code_of[pending.rows]
         bootstrap_codes = np.where(observed >= 0, observed, pending.local_codes)
 
-        block_old = self._store.block(pending.global_tuple)
-        block_new = self._store.block(new_global_tuple)
-        key_idx = self._key_indices(pending.rows)
-        current = block_old[key_idx, pending.local_codes, pending.action_cols]
-        next_values = block_new[key_idx, bootstrap_codes, :]
-        # Idle transitions bootstrap over actions plus the dedicated idle entry, so
-        # non-participation also accumulates value (mirrors the scalar agent).
-        best_next_actions = np.max(next_values[:, :num_actions], axis=1)
-        best_next_all = np.maximum(best_next_actions, next_values[:, idle_col])
-        best_next = np.where(
-            pending.action_cols == idle_col, best_next_all, best_next_actions
-        )
-        targets = pending.rewards + discount * best_next
+        old_table = store.table(pending.global_tuple)
+        new_table = store.table(new_global_tuple)
+        # Cells of the two blocks are numbered old block first, then the new one.
+        offset = 0 if new_global_tuple == pending.global_tuple else old_table.size
+        keys = self._key_indices(pending.rows)
+        width = num_actions + 1
+        current_cells = store.row_index(keys, pending.local_codes) * width + pending.action_cols
+        next_rows = store.row_index(keys, bootstrap_codes)
+        # Idle transitions bootstrap over the actions plus the dedicated idle entry, so
+        # non-participation also accumulates value; the others over the actions alone.
+        idle = pending.action_cols == num_actions
+        current = old_table.take(current_cells)
+        next_values = _skip_idle_slot(new_table.take(next_rows, axis=0), idle)
+        unread_current, unread_next = np.isnan(current), np.isnan(next_values)
+        if unread_current.any() or unread_next.any():
+            # Read order: per transition, the current cell, then the bootstrap row.
+            tables = [old_table, new_table] if offset else [old_table]
+            next_cells = next_rows[:, None] * width + np.arange(width) + offset
+            cells = np.column_stack([current_cells, _skip_idle_slot(next_cells, idle)])
+            store.initialise(tables, cells[np.column_stack([unread_current, unread_next])])
+            current = old_table.take(current_cells)
+            next_values = _skip_idle_slot(new_table.take(next_rows, axis=0), idle)
+        if self._batch_synchronous:
+            self._fold_update(old_table, current_cells, current, next_values, pending.rewards)
+        else:
+            self._sequential_update(
+                old_table, new_table, offset, current_cells, next_rows, idle, pending.rewards
+            )
 
-        # Scatter with duplicate folding: candidates sharing one (key, state, action)
-        # cell apply the exact sequential recurrence
-        #   c_{i+1} = (1 - lr) * c_i + lr * t_i
-        # in candidate order.  Cells hit once use the scalar agent's literal
-        # ``c + lr * (t - c)`` expression so per-device sharing matches it bit-for-bit.
-        flat = (
-            key_idx * block_old.shape[1] + pending.local_codes
-        ) * (num_actions + 1) + pending.action_cols
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
+    def _sequential_update(
+        self,
+        old_table: np.ndarray,
+        new_table: np.ndarray,
+        offset: int,
+        current_cells: np.ndarray,
+        next_rows: np.ndarray,
+        idle: np.ndarray,
+        rewards: np.ndarray,
+    ) -> None:
+        """Apply the transitions one by one, in candidate order.
+
+        Only this round's cells take part: they are gathered into one short list, the
+        loop reads and writes that list, and the list is scattered back.  Transitions
+        that bootstrap from the same row share one getter over it.
+        """
+        lr = self._config.learning_rate
+        discount = self._config.discount_factor
+        width = old_table.shape[1]
+        _, first, row_of = np.unique(
+            next_rows * 2 + idle, return_index=True, return_inverse=True
+        )
+        row_cells = _skip_idle_slot(
+            next_rows[first, None] * width + np.arange(width) + offset, idle[first]
+        )
+        cells = np.unique(np.concatenate([row_cells.ravel(), current_cells]))
+        getters = [
+            itemgetter(*slots) for slots in np.searchsorted(cells, row_cells).tolist()
+        ]
+        split = np.searchsorted(cells, old_table.size)
+        old_cells, new_cells = cells[:split], cells[split:] - offset
+        values = np.concatenate([old_table.take(old_cells), new_table.take(new_cells)]).tolist()
+        for slot, next_values, reward in zip(
+            np.searchsorted(cells, current_cells).tolist(),
+            map(getters.__getitem__, row_of.tolist()),
+            rewards.tolist(),
+        ):
+            current = values[slot]
+            values[slot] = current + lr * (reward + discount * max(next_values(values)) - current)
+        updated = np.array(values)
+        old_table.reshape(-1)[old_cells] = updated[:split]
+        new_table.reshape(-1)[new_cells] = updated[split:]
+
+    def _fold_update(
+        self,
+        old_table: np.ndarray,
+        current_cells: np.ndarray,
+        current: np.ndarray,
+        next_values: np.ndarray,
+        rewards: np.ndarray,
+    ) -> None:
+        """Batch-synchronous update: every bootstrap reads the pre-round table.
+
+        Candidates sharing one (key, state, action) cell apply the exact sequential
+        recurrence ``c_{i+1} = (1 - lr) * c_i + lr * t_i`` in candidate order.  Cells hit
+        once use the literal ``c + lr * (t - c)``, so per-device sharing matches the
+        sequential update bit for bit.
+        """
+        lr = self._config.learning_rate
+        # Column by column: a row-wise max over a handful of columns is far slower.
+        best_next = next_values[:, 0]
+        for column in range(1, next_values.shape[1]):
+            best_next = np.maximum(best_next, next_values[:, column])
+        targets = rewards + self._config.discount_factor * best_next
+        order = np.argsort(current_cells, kind="stable")
+        sorted_cells = current_cells[order]
         sorted_targets = targets[order]
-        first_index, counts = runs_of_sorted(sorted_flat)
-        unique_cells = sorted_flat[first_index]
+        first_index, counts = runs_of_sorted(sorted_cells)
         first_current = current[order][first_index]
         first_targets = sorted_targets[first_index]
-        position = np.arange(len(sorted_flat)) - np.repeat(first_index, counts)
+        position = np.arange(len(sorted_cells)) - np.repeat(first_index, counts)
         group_size = np.repeat(counts, counts)
         weights = lr * (1.0 - lr) ** (group_size - 1 - position)
         folded = (1.0 - lr) ** counts * first_current + np.add.reduceat(
@@ -499,7 +383,7 @@ class VectorAutoFLAgent:
             first_current + lr * (first_targets - first_current),
             folded,
         )
-        block_old.reshape(-1)[unique_cells] = final
+        old_table.reshape(-1)[sorted_cells[first_index]] = final
 
     def flush(self) -> None:
         """Finalise pending updates without a next state (end of a training job).

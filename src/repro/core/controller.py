@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.actions import ActionCatalog
-from repro.core.agent import AutoFLAgent, QLearningConfig, VectorAutoFLAgent
-from repro.core.qtable import QTableStore
+from repro.core.agent import QLearningConfig, VectorAutoFLAgent
+from repro.core.qtable import PER_TIER
 from repro.core.reward import RewardCalculator, RewardWeights
 from repro.core.selection import Policy, effective_num_participants
-from repro.core.state import GlobalState, LocalState, StateEncoder
+from repro.core.state import StateEncoder
 from repro.exceptions import PolicyError
 from repro.registry import POLICIES
 from repro.fl.server import RoundTrainingResult
@@ -25,6 +25,9 @@ class AutoFLPolicy(Policy):
     conditions and data coverage, (2) asks the Q-learning agent for the K participants and
     their execution targets, and (3) after aggregation converts the measured energies and
     accuracy into per-device rewards that update the Q-tables (paper Figure 7).
+
+    ``vectorized=True`` (registered as ``autofl-fast``) swaps the agent's sequential
+    Q-update for its batch-synchronous one; everything else is shared.
     """
 
     name = "autofl"
@@ -35,7 +38,7 @@ class AutoFLPolicy(Policy):
         rng: np.random.Generator | None = None,
         config: QLearningConfig | None = None,
         reward_weights: RewardWeights | None = None,
-        qtable_sharing: str = QTableStore.PER_TIER,
+        qtable_sharing: str = PER_TIER,
         catalog: ActionCatalog | None = None,
         vectorized: bool = False,
         init_scale: float = 0.01,
@@ -48,90 +51,56 @@ class AutoFLPolicy(Policy):
         self._encoder = StateEncoder()
         self._vectorized = vectorized
         self._init_scale = init_scale
-        self._agent: AutoFLAgent | VectorAutoFLAgent | None = None
+        self._agent: VectorAutoFLAgent | None = None
         if vectorized:
             self.name = "autofl-fast"
 
     @property
     def vectorized(self) -> bool:
-        """Whether the array-native agent hot path is in use."""
+        """Whether the agent runs the batch-synchronous Q-update (``autofl-fast``)."""
         return self._vectorized
 
     @property
-    def agent(self) -> AutoFLAgent | VectorAutoFLAgent:
+    def agent(self) -> VectorAutoFLAgent:
         """The underlying Q-learning agent (created on first use)."""
         if self._agent is None:
             raise PolicyError("the AutoFL agent is created on the first select() call")
         return self._agent
 
-    def _ensure_agent(self, ctx: RoundContext) -> AutoFLAgent | VectorAutoFLAgent:
+    def _ensure_agent(self, ctx: RoundContext) -> VectorAutoFLAgent:
         if self._agent is None:
-            if self._vectorized:
-                arrays = ctx.environment.fleet_arrays
-                self._agent = VectorAutoFLAgent(
-                    tier_codes=arrays.tier_codes,
-                    device_ids=arrays.device_ids,
-                    catalog=self._catalog,
-                    config=self._config,
-                    qtable_sharing=self._qtable_sharing,
-                    rng=self._rng,
-                    init_scale=self._init_scale,
-                )
-            else:
-                self._agent = AutoFLAgent(
-                    fleet=ctx.environment.fleet,
-                    catalog=self._catalog,
-                    config=self._config,
-                    qtable_sharing=self._qtable_sharing,
-                    rng=self._rng,
-                    init_scale=self._init_scale,
-                )
+            arrays = ctx.environment.fleet_arrays
+            self._agent = VectorAutoFLAgent(
+                tier_codes=arrays.tier_codes,
+                device_ids=arrays.device_ids,
+                catalog=self._catalog,
+                config=self._config,
+                qtable_sharing=self._qtable_sharing,
+                rng=self._rng,
+                init_scale=self._init_scale,
+                batch_synchronous=self._vectorized,
+            )
         return self._agent
 
-    def _encode_states(
-        self, ctx: RoundContext
-    ) -> tuple[GlobalState, dict[int, LocalState]]:
-        environment = ctx.environment
-        global_state = self._encoder.encode_global(environment.workload, environment.global_params)
+    def _candidate_rows(self, ctx: RoundContext) -> np.ndarray:
         # Only online candidates are observable: the FL protocol cannot collect runtime
         # state from an unreachable device, so offline devices get no transition (and no
         # Q-update) this round.
-        local_states = {
-            device_id: self._encoder.encode_local(
-                ctx.condition(device_id), environment.data_profile(device_id)
-            )
-            for device_id in ctx.candidate_ids()
-        }
-        return global_state, local_states
-
-    def _candidate_rows(self, ctx: RoundContext) -> np.ndarray:
         if ctx.online_mask is None:
             return np.arange(len(ctx.environment.fleet_arrays), dtype=np.int64)
         return np.flatnonzero(ctx.online_mask)
 
     def select(self, ctx: RoundContext) -> SelectionDecision:
         agent = self._ensure_agent(ctx)
-        if self._vectorized:
-            assert isinstance(agent, VectorAutoFLAgent)
-            environment = ctx.environment
-            global_state = self._encoder.encode_global(
-                environment.workload, environment.global_params
-            )
-            rows = self._candidate_rows(ctx)
-            conditions = ctx.conditions_as_arrays()
-            local_codes = self._encoder.encode_local_codes(
-                conditions.take(rows), environment.class_fraction_array[rows]
-            )
-            selection = agent.select(
-                global_state, rows, local_codes, effective_num_participants(ctx)
-            )
-        else:
-            global_state, local_states = self._encode_states(ctx)
-            selection = agent.select(
-                global_state, local_states, effective_num_participants(ctx)
-            )
+        environment = ctx.environment
+        global_state = self._encoder.encode_global(environment.workload, environment.global_params)
+        rows = self._candidate_rows(ctx)
+        local_codes = self._encoder.encode_local_codes(
+            ctx.conditions_as_arrays().take(rows), environment.class_fraction_array[rows]
+        )
+        selection = agent.select(global_state, rows, local_codes, effective_num_participants(ctx))
         targets = {
-            device_id: self._catalog.to_target(action_id, ctx.environment.fleet[device_id])
+            device_id: self._catalog.to_target(action_id, environment.fleet[device_id])
             for device_id, action_id in selection.actions.items()
         }
         return SelectionDecision(participants=selection.participant_ids, targets=targets)
@@ -198,12 +167,9 @@ class AutoFLPolicy(Policy):
         devices, also in fleet order.
         """
         agent = self._ensure_agent(ctx)
-        if isinstance(agent, VectorAutoFLAgent):
-            participant_energy = fleet_energy[selected_mask]
-        else:
-            # The scalar agent averages in set iteration order; the mean keeps its bits.
-            rows = ctx.environment.fleet_arrays.rows_for(list(set(decision.participants)))
-            participant_energy = fleet_energy[rows]
+        # The participant mean is taken in set iteration order (the bits the goldens pin).
+        rows = ctx.environment.fleet_arrays.rows_for(list(set(decision.participants)))
+        participant_energy = fleet_energy[rows]
         mean_participant = (
             float(np.mean(participant_energy)) if len(participant_energy) else 0.0
         )
@@ -221,11 +187,7 @@ class AutoFLPolicy(Policy):
             selected=selected_mask[candidate_rows],
             failed=failed_mask[candidate_rows],
         )
-        if isinstance(agent, VectorAutoFLAgent):
-            agent.record_rewards(rewards)
-        else:
-            candidate_ids = ctx.environment.fleet_arrays.device_ids[candidate_rows]
-            agent.record_rewards(dict(zip(candidate_ids.tolist(), rewards.tolist())))
+        agent.record_rewards(rewards)
 
     def reward_history(self) -> list[float]:
         """Mean per-round reward trajectory (Figure 15 convergence analysis)."""
@@ -237,5 +199,5 @@ class AutoFLPolicy(Policy):
 POLICIES.add(
     "autofl-fast",
     lambda rng=None, **kwargs: AutoFLPolicy(rng=rng, vectorized=True, **kwargs),
-    summary="AutoFL with the vectorised (array-native) agent hot path.",
+    summary="AutoFL with the batch-synchronous Q-update.",
 )

@@ -1,4 +1,4 @@
-"""Q-table storage: per-device lookup tables with optional per-tier sharing.
+"""Q-value storage: dense Q-blocks with per-device or per-tier table sharing.
 
 Paper Section 4: AutoFL keeps a Q-table per device; to scale to large populations (and to
 speed up early training), devices of the same performance category can share one table at
@@ -7,86 +7,34 @@ the cost of a small prediction-accuracy loss (Section 6.4, Figure 15).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.core.state import GlobalState, LocalState
-from repro.devices.specs import DeviceTier
 from repro.exceptions import PolicyError
 
-QKey = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-class QTable:
-    """A sparse Q(S_global, S_local, A) lookup table."""
-
-    def __init__(self, rng: np.random.Generator | None = None, init_scale: float = 0.01) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._init_scale = init_scale
-        self._values: dict[QKey, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @staticmethod
-    def _key(global_state: GlobalState, local_state: LocalState, action_id: int) -> QKey:
-        return (global_state.as_tuple(), local_state.as_tuple(), action_id)
-
-    def get(self, global_state: GlobalState, local_state: LocalState, action_id: int) -> float:
-        """Q-value of a (state, action) pair, lazily initialised to a small random value.
-
-        At ``init_scale=0.0`` entries initialise to exact zero *without consuming the RNG
-        stream* — the configuration under which the scalar and vectorised agents are
-        stream-compatible.
-        """
-        key = self._key(global_state, local_state, action_id)
-        if key not in self._values:
-            if self._init_scale == 0.0:
-                self._values[key] = 0.0
-            else:
-                self._values[key] = float(self._rng.normal(0.0, self._init_scale))
-        return self._values[key]
-
-    def set(
-        self, global_state: GlobalState, local_state: LocalState, action_id: int, value: float
-    ) -> None:
-        """Overwrite the Q-value of a (state, action) pair."""
-        self._values[self._key(global_state, local_state, action_id)] = float(value)
-
-    def best_action(
-        self, global_state: GlobalState, local_state: LocalState, action_ids: list[int]
-    ) -> tuple[int, float]:
-        """The action (among ``action_ids``) with the highest Q-value, and that value."""
-        if not action_ids:
-            raise PolicyError("action_ids must not be empty")
-        best_id = action_ids[0]
-        best_value = self.get(global_state, local_state, best_id)
-        for action_id in action_ids[1:]:
-            value = self.get(global_state, local_state, action_id)
-            if value > best_value:
-                best_id, best_value = action_id, value
-        return best_id, best_value
-
-    def memory_entries(self) -> int:
-        """Number of materialised table entries (a proxy for memory footprint)."""
-        return len(self._values)
+#: One Q-table per device.
+PER_DEVICE = "per-device"
+#: One Q-table per performance tier, shared by every device of that tier.
+PER_TIER = "per-tier"
+SHARING_MODES = (PER_DEVICE, PER_TIER)
 
 
 class VectorQTableStore:
-    """Dense Q-value blocks for the vectorised AutoFL agent.
+    """Dense Q-value blocks, one per global state, with lazy per-cell initialisation.
 
-    Where :class:`QTable` is a sparse per-entry dict, this store keeps, per global-state
-    tuple, one dense array of shape ``[num_keys, num_local_codes, num_actions + 1]`` —
-    ``num_keys`` is the number of sharing groups (fleet size for per-device sharing,
-    number of tiers for per-tier), local states are addressed by their packed code
-    (:meth:`repro.core.state.StateEncoder.local_code`) and the final action column is the
-    reserved idle action.  Lookup, argmax and the Q-update for a whole candidate set then
-    collapse into fancy indexing.
+    Each global-state tuple owns an array of shape ``[num_keys, num_local_codes,
+    num_actions + 1]``: ``num_keys`` is the number of sharing groups (fleet size for
+    per-device sharing, number of tiers for per-tier), local states are addressed by
+    their packed code (:meth:`repro.core.state.StateEncoder.local_code`) and the final
+    action column is the reserved idle action.  Lookup, argmax and the Q-update for a
+    whole candidate set then collapse into fancy indexing.
 
-    Blocks are initialised with one draw of ``rng.normal(0, init_scale)`` per cell at
-    first access of their global tuple.  The draw *order* necessarily differs from the
-    sparse table's per-entry lazy initialisation, so the vectorised agent is stream-
-    compatible with the scalar agent only at ``init_scale=0.0`` (both start from exact
-    zeros) — which is how the equivalence tests pin the two implementations.
+    A cell holds NaN until it is first read.  The agent's read paths hand the unread
+    cells they touch to :meth:`initialise`, in the order Algorithm 1 reads them one by
+    one, and each gets its own ``rng.normal(0, init_scale)`` draw in that order — the
+    RNG stream of a table that initialises every entry lazily on first read.  At
+    ``init_scale=0`` cells initialise to 0.0 and draw nothing.
     """
 
     def __init__(
@@ -96,15 +44,25 @@ class VectorQTableStore:
         num_actions: int,
         rng: np.random.Generator | None = None,
         init_scale: float = 0.01,
+        sharing: str = PER_TIER,
     ) -> None:
         if num_keys <= 0 or num_local_codes <= 0 or num_actions <= 0:
             raise PolicyError("VectorQTableStore dimensions must be positive")
-        self._num_keys = num_keys
-        self._num_local_codes = num_local_codes
+        if sharing not in SHARING_MODES:
+            raise PolicyError(
+                f"sharing must be {PER_DEVICE!r} or {PER_TIER!r}, got {sharing!r}"
+            )
+        self._shape = (num_keys, num_local_codes, num_actions + 1)
         self._num_actions = num_actions
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._init_scale = init_scale
+        self._sharing = sharing
         self._blocks: dict[tuple[int, ...], np.ndarray] = {}
+
+    @property
+    def sharing(self) -> str:
+        """The sharing mode (``"per-device"`` or ``"per-tier"``)."""
+        return self._sharing
 
     @property
     def num_actions(self) -> int:
@@ -117,72 +75,47 @@ class VectorQTableStore:
         return self._num_actions
 
     def block(self, global_tuple: tuple[int, ...]) -> np.ndarray:
-        """The dense Q-block of one global state, created on first access."""
+        """The dense Q-block of one global state, all unread (NaN) when first created."""
         existing = self._blocks.get(global_tuple)
-        if existing is not None:
-            return existing
+        if existing is None:
+            existing = self._blocks[global_tuple] = np.full(self._shape, np.nan)
+        return existing
+
+    def table(self, global_tuple: tuple[int, ...]) -> np.ndarray:
+        """The same block as a ``[num_keys * num_local_codes, num_actions + 1]`` view."""
+        return self.block(global_tuple).reshape(-1, self._shape[2])
+
+    def row_index(self, key_indices: np.ndarray, local_codes: np.ndarray) -> np.ndarray:
+        """The :meth:`table` row of each (sharing key, local code) pair."""
+        return key_indices * self._shape[1] + local_codes
+
+    def initialise(self, tables: Sequence[np.ndarray], cells: np.ndarray) -> None:
+        """Give unread cells their initial values, in the order they are first read.
+
+        ``tables`` are blocks or their :meth:`table` views.  ``cells`` lists, in read
+        order, the unread cells a read path touches, as ``position * size + flat_index``
+        into ``tables`` (the flat index of row ``r``, column ``c`` is
+        ``r * (num_actions + 1) + c``); a cell read twice is initialised at its first read.
+        """
+        _, first_read = np.unique(cells, return_index=True)
+        ordered = cells[np.sort(first_read)]
         if self._init_scale == 0.0:
-            block = np.zeros(
-                (self._num_keys, self._num_local_codes, self._num_actions + 1),
-                dtype=np.float64,
-            )
+            values = np.zeros(len(ordered))
         else:
-            block = self._rng.normal(
-                0.0,
-                self._init_scale,
-                size=(self._num_keys, self._num_local_codes, self._num_actions + 1),
-            )
-        self._blocks[global_tuple] = block
-        return block
+            values = self._rng.normal(0.0, self._init_scale, size=len(ordered))
+        positions, flat = np.divmod(ordered, tables[0].size)
+        for position, table in enumerate(tables):
+            mine = positions == position
+            table.reshape(-1)[flat[mine]] = values[mine]
 
     @property
     def num_tables(self) -> int:
-        """Number of materialised global-state blocks."""
-        return len(self._blocks)
+        """Number of sharing groups (devices or tiers) holding any initialised cell."""
+        groups = np.zeros(self._shape[0], dtype=bool)
+        for block in self._blocks.values():
+            groups |= ~np.isnan(block).all(axis=(1, 2))
+        return int(np.count_nonzero(groups))
 
     def total_entries(self) -> int:
-        """Total number of Q-cells materialised (a proxy for memory footprint)."""
-        return sum(block.size for block in self._blocks.values())
-
-
-class QTableStore:
-    """Holds the Q-tables of a fleet, either one per device or one per performance tier."""
-
-    PER_DEVICE = "per-device"
-    PER_TIER = "per-tier"
-
-    def __init__(
-        self,
-        sharing: str = PER_TIER,
-        rng: np.random.Generator | None = None,
-        init_scale: float = 0.01,
-    ) -> None:
-        if sharing not in (self.PER_DEVICE, self.PER_TIER):
-            raise PolicyError(
-                f"sharing must be {self.PER_DEVICE!r} or {self.PER_TIER!r}, got {sharing!r}"
-            )
-        self._sharing = sharing
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._init_scale = init_scale
-        self._tables: dict[object, QTable] = {}
-
-    @property
-    def sharing(self) -> str:
-        """The sharing mode (``"per-device"`` or ``"per-tier"``)."""
-        return self._sharing
-
-    def table_for(self, device_id: int, tier: DeviceTier) -> QTable:
-        """The Q-table responsible for a device."""
-        key: object = device_id if self._sharing == self.PER_DEVICE else tier
-        if key not in self._tables:
-            self._tables[key] = QTable(rng=self._rng, init_scale=self._init_scale)
-        return self._tables[key]
-
-    @property
-    def num_tables(self) -> int:
-        """Number of distinct tables materialised so far."""
-        return len(self._tables)
-
-    def total_entries(self) -> int:
-        """Total number of Q-table entries across all tables."""
-        return sum(table.memory_entries() for table in self._tables.values())
+        """Number of initialised Q-cells (a proxy for memory footprint)."""
+        return sum(int(np.count_nonzero(~np.isnan(block))) for block in self._blocks.values())

@@ -128,21 +128,17 @@ class BatchRoundExecution:
     def participant_ids(self) -> list[int]:
         """Devices whose updates made it into the aggregation (stragglers and
         mid-round failures excluded)."""
-        return sorted(
-            int(device_id) for device_id in self.selected_ids[~(self.dropped | self.failed)]
-        )
+        return sorted(self.selected_ids[~(self.dropped | self.failed)].tolist())
 
     @property
     def dropped_ids(self) -> list[int]:
         """Selected devices whose updates were dropped as stragglers (failures aside)."""
-        return sorted(
-            int(device_id) for device_id in self.selected_ids[self.dropped & ~self.failed]
-        )
+        return sorted(self.selected_ids[self.dropped & ~self.failed].tolist())
 
     @property
     def failed_ids(self) -> list[int]:
         """Selected devices that failed mid-round (dropout before upload)."""
-        return sorted(int(device_id) for device_id in self.selected_ids[self.failed])
+        return sorted(self.selected_ids[self.failed].tolist())
 
     @property
     def participant_energies_j(self) -> np.ndarray:
@@ -172,9 +168,9 @@ class BatchRoundExecution:
         """Total idle energy of the non-selected devices."""
         return sequential_sum(self.idle_j)
 
-    @property
+    @cached_property
     def global_energy_j(self) -> float:
-        """Population-wide energy of the round, summed in fleet order.
+        """Population-wide energy of the round, summed in fleet order; summed once.
 
         Bit-identical to the per-device account of :meth:`to_execution`.
         """

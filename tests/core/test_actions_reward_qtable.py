@@ -1,16 +1,16 @@
-"""Tests for the action catalog, reward calculator and Q-table storage."""
+"""Tests for the action catalog, the reward calculator and the scalar oracle's Q-tables."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.actions import ActionCatalog, ActionSpec, IDLE_ACTION
-from repro.core.qtable import QTable, QTableStore
 from repro.core.reward import RewardCalculator, RewardWeights
 from repro.core.state import GlobalState, LocalState
 from repro.devices.device import MobileDevice
 from repro.devices.specs import DeviceTier, MI8_PRO, MOTO_X_FORCE
 from repro.exceptions import PolicyError
+from scalar_autofl import QTable, QTableStore
 
 
 @pytest.fixture

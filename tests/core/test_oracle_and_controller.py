@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.controller import AutoFLPolicy
 from repro.core.oracle import OracleFLPolicy, OracleParticipantPolicy
-from repro.core.qtable import QTableStore
+from repro.core.qtable import PER_DEVICE
 from repro.devices.device import RoundConditions
 from repro.exceptions import PolicyError
 from repro.sim.context import RoundContext
@@ -133,11 +133,11 @@ class TestAutoFLPolicy:
         assert policy.agent.qtable_store.total_entries() > 0
 
     def test_qtable_sharing_mode_respected(self, small_environment, small_backend):
-        policy = AutoFLPolicy(rng=np.random.default_rng(0), qtable_sharing=QTableStore.PER_DEVICE)
+        policy = AutoFLPolicy(rng=np.random.default_rng(0), qtable_sharing=PER_DEVICE)
         conditions = small_environment.sample_round_conditions()
         ctx = RoundContext(0, small_environment, conditions, small_backend.accuracy)
         policy.select(ctx)
-        assert policy.agent.qtable_store.sharing == QTableStore.PER_DEVICE
+        assert policy.agent.qtable_store.sharing == PER_DEVICE
 
     def test_learns_to_avoid_non_iid_devices(self):
         """After enough rounds AutoFL should select mostly IID devices (paper Figure 11)."""

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.agent import AutoFLAgent
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.sim.results import BatchRoundExecution
@@ -20,11 +19,12 @@ def _simulation(preset, policy, rounds, round_observer=None):
     return build_simulation(spec.validate(), round_observer=round_observer)
 
 
-def _q_entries(agent):
-    store = agent.qtable_store
-    if isinstance(agent, AutoFLAgent):
-        return {key: dict(table._values) for key, table in store._tables.items()}
-    return {key: block.tolist() for key, block in store._blocks.items()}
+def _assert_same_q_tables(agent, other):
+    # NaN marks cells never read, so unread cells must line up too.
+    blocks, other_blocks = agent.qtable_store._blocks, other.qtable_store._blocks
+    assert blocks.keys() == other_blocks.keys()
+    for key, block in blocks.items():
+        assert np.array_equal(block, other_blocks[key], equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -67,25 +67,27 @@ def test_records_equal_the_scalar_account_bit_for_bit():
 
 
 def _per_device_feedback(policy, ctx, decision, execution, training):
-    """The scalar agent's per-device feedback loop over the scalar view: the reference."""
+    """A per-device feedback loop over the scalar view: the reference."""
     selected = set(decision.participants)
     failed = set(execution.failed_ids)
     global_energy = execution.energy.global_j
     participant_energies = [execution.energy.device(device_id).total_j for device_id in selected]
     policy._reward.observe_round(global_energy, float(np.mean(participant_energies)))
-    rewards = {}
-    for device in ctx.environment.fleet:
-        device_id = device.device_id
+    rewards = []
+    # One reward per observable candidate, in fleet order: the agent's pending rows.
+    for device_id in ctx.candidate_ids():
         energy = execution.energy.device(device_id)
-        rewards[device_id] = policy._reward.reward(
-            global_energy_j=global_energy,
-            local_energy_j=energy.total_j if device_id in selected else energy.idle_j,
-            accuracy=training.accuracy,
-            previous_accuracy=training.previous_accuracy,
-            selected=device_id in selected,
-            failed=device_id in failed,
+        rewards.append(
+            policy._reward.reward(
+                global_energy_j=global_energy,
+                local_energy_j=energy.total_j if device_id in selected else energy.idle_j,
+                accuracy=training.accuracy,
+                previous_accuracy=training.previous_accuracy,
+                selected=device_id in selected,
+                failed=device_id in failed,
+            )
         )
-    policy.agent.record_rewards(rewards)
+    policy.agent.record_rewards(np.array(rewards))
 
 
 def _public_feedback(policy, ctx, decision, execution, training):
@@ -98,6 +100,7 @@ def _public_feedback(policy, ctx, decision, execution, training):
         ("autofl", _per_device_feedback),
         ("autofl", _public_feedback),
         ("autofl-fast", _public_feedback),
+        ("autofl-fast", _per_device_feedback),
     ],
 )
 @pytest.mark.parametrize("preset", ["flaky-fleet", "churn-heavy"])
@@ -115,7 +118,7 @@ def test_array_feedback_learns_what_the_scalar_view_teaches(preset, policy, refe
     scalar_result = scalar_sim.run()
     assert array_result.to_json() == scalar_result.to_json()
     assert array_sim.policy.reward_history() == scalar_policy.reward_history()
-    assert _q_entries(array_sim.policy.agent) == _q_entries(scalar_policy.agent)
+    _assert_same_q_tables(array_sim.policy.agent, scalar_policy.agent)
 
 
 def test_records_share_interned_execution_targets():
