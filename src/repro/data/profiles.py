@@ -11,6 +11,7 @@ heterogeneity scenario (the paper's Ideal IID / Non-IID(M%) settings).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ import numpy as np
 from repro.data.federated import FederatedDataset
 from repro.data.partition import DIRICHLET_CONCENTRATION, DataDistribution
 from repro.exceptions import DataError
+
+#: Dirichlet concentration of an IID device's class mix: near-uniform with mild noise.
+_IID_CONCENTRATION = 50.0
+
+#: Smallest concentration at which ``Generator.dirichlet`` normalises Gamma draws.
+_GAMMA_DIRICHLET_MIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -77,41 +84,96 @@ def synthesize_data_profiles(
     Non-IID devices draw their class mix from ``Dirichlet(concentration)`` over the global
     label space (exactly the paper's construction) and the profile statistics are computed
     from that mix; IID devices cover the full label space with a near-uniform mix.
+
+    Each device, in ``device_ids`` order, draws its shard size, its class mix and its
+    per-class counts from ``rng``; the coverage and balance statistics are then computed
+    for the whole fleet with array operations.  The draws, and every statistic's bits,
+    are those of drawing and summarising one device at a time.
     """
     if num_classes < 2:
         raise DataError("num_classes must be >= 2")
     if samples_per_device < 1:
         raise DataError("samples_per_device must be >= 1")
+    if not (math.isfinite(concentration) and concentration > 0):
+        raise DataError(f"concentration must be a finite positive number, got {concentration}")
     distribution = DataDistribution.from_name(distribution)
     num_devices = len(device_ids)
     if num_devices == 0:
         raise DataError("device_ids must be non-empty")
+    if len(set(device_ids)) != num_devices:
+        raise DataError("device_ids must be unique")
     num_non_iid = int(round(distribution.non_iid_fraction * num_devices))
-    non_iid_ids: set[int] = set()
+    non_iid = np.zeros(num_devices, dtype=bool)
     if num_non_iid > 0:
-        chosen = rng.choice(num_devices, size=num_non_iid, replace=False)
-        non_iid_ids = {device_ids[int(index)] for index in chosen}
+        non_iid[rng.choice(num_devices, size=num_non_iid, replace=False)] = True
 
-    profiles: dict[int, DeviceDataProfile] = {}
-    for device_id in device_ids:
-        num_samples = int(rng.integers(int(samples_per_device * 0.7), int(samples_per_device * 1.3) + 1))
-        if device_id in non_iid_ids:
-            mix = rng.dirichlet(np.full(num_classes, concentration))
-        else:
-            # IID devices: a near-uniform mix with mild sampling noise.
-            mix = rng.dirichlet(np.full(num_classes, 50.0))
-        counts = rng.multinomial(num_samples, mix)
-        present = counts > 0
-        class_fraction = float(present.sum() / num_classes)
-        probabilities = counts[present] / num_samples
-        entropy = float(-(probabilities * np.log(probabilities)).sum()) if present.any() else 0.0
-        max_entropy = float(np.log(num_classes))
-        balance = entropy / max_entropy if max_entropy > 0 else 1.0
-        profiles[device_id] = DeviceDataProfile(
+    num_samples, counts = _draw_class_counts(
+        non_iid, num_classes, samples_per_device, rng, concentration
+    )
+    present = counts > 0
+    num_present = present.sum(axis=1)
+    class_fraction = num_present / num_classes
+    # Entropy of each device's present-class proportions, summed in class order.  Devices
+    # holding the same number of classes form one (devices, classes) block whose rows
+    # reduce exactly as one device's 1-D array does; a device with no samples keeps 0.0.
+    entropy = np.zeros(num_devices)
+    for width in np.unique(num_present[num_present > 0]).tolist():
+        rows = np.flatnonzero(num_present == width)
+        present_counts = counts[rows][present[rows]].reshape(len(rows), width)
+        probabilities = present_counts / num_samples[rows, None]
+        entropy[rows] = -(probabilities * np.log(probabilities)).sum(axis=1)
+    balance = np.minimum(1.0, entropy / np.log(num_classes))
+    return {
+        device_id: DeviceDataProfile(
             device_id=device_id,
-            num_samples=num_samples,
-            class_fraction=class_fraction,
-            balance_score=min(1.0, balance),
-            is_non_iid=device_id in non_iid_ids,
+            num_samples=samples,
+            class_fraction=fraction,
+            balance_score=score,
+            is_non_iid=is_non_iid,
         )
-    return profiles
+        for device_id, samples, fraction, score, is_non_iid in zip(
+            device_ids,
+            num_samples.tolist(),
+            class_fraction.tolist(),
+            balance.tolist(),
+            non_iid.tolist(),
+        )
+    }
+
+
+def _draw_class_counts(
+    non_iid: np.ndarray,
+    num_classes: int,
+    samples_per_device: int,
+    rng: np.random.Generator,
+    concentration: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each device's shard size and per-class sample counts, drawn in device order.
+
+    Per device: the shard size, then the class mix, then a multinomial split of the shard
+    over the classes.
+    """
+    low = int(samples_per_device * 0.7)
+    high = int(samples_per_device * 1.3) + 1
+    integers, multinomial = rng.integers, rng.multinomial
+    sizes = []
+    counts = np.empty((len(non_iid), num_classes), dtype=np.int64)
+    for row, is_non_iid in enumerate(non_iid.tolist()):
+        size = integers(low, high)
+        alpha = concentration if is_non_iid else _IID_CONCENTRATION
+        counts[row] = multinomial(size, _dirichlet(rng, alpha, num_classes))
+        sizes.append(size)
+    return np.array(sizes, dtype=np.int64), counts
+
+
+def _dirichlet(rng: np.random.Generator, alpha: float, num_classes: int) -> np.ndarray:
+    """``rng.dirichlet(np.full(num_classes, alpha))``: the same bits, the same stream.
+
+    At ``alpha >= _GAMMA_DIRICHLET_MIN`` numpy draws one Gamma(alpha) per class and
+    scales them by the reciprocal of their left-to-right sum; doing that here skips its
+    per-call overhead.  Below that it breaks sticks instead, so it is called as is.
+    """
+    if alpha < _GAMMA_DIRICHLET_MIN:
+        return rng.dirichlet(np.full(num_classes, alpha))
+    draws = rng.standard_gamma(alpha, size=num_classes)
+    return draws * (1.0 / np.add.accumulate(draws)[-1])

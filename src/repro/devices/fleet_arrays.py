@@ -78,30 +78,45 @@ class FleetArrays:
 
     @classmethod
     def from_fleet(cls, fleet: "Fleet") -> "FleetArrays":
-        """Snapshot ``fleet`` (including currently assigned shard sizes) into arrays."""
+        """Snapshot ``fleet`` (including currently assigned shard sizes) into arrays.
+
+        Devices share a handful of :class:`~repro.devices.specs.DeviceSpec` objects, so
+        every hardware field is tabulated once per distinct spec (by identity) and
+        gathered by each device's spec code; only ids and shard sizes are read per device.
+        """
         devices = fleet.devices
         tier_index = {tier: code for code, tier in enumerate(TIER_ORDER)}
+        code_of: dict[int, int] = {}
+        spec_devices = []  # The first device of each distinct spec, in code order.
+        spec_codes = []
+        for device in devices:
+            code = code_of.setdefault(id(device.spec), len(spec_devices))
+            if code == len(spec_devices):
+                spec_devices.append(device)
+            spec_codes.append(code)
+        codes = np.array(spec_codes, dtype=np.intp)
+        specs = [device.spec for device in spec_devices]
+
+        def per_spec(values: list, dtype: type = np.float64) -> np.ndarray:
+            return np.array(values, dtype=dtype)[codes]
 
         def processor_array(attr: str, dtype: type = np.float64) -> np.ndarray:
-            return np.array(
+            table = np.array(
                 [
-                    [getattr(device.spec.cpu, attr) for device in devices],
-                    [getattr(device.spec.gpu, attr) for device in devices],
+                    [getattr(spec.cpu, attr) for spec in specs],
+                    [getattr(spec.gpu, attr) for spec in specs],
                 ],
                 dtype=dtype,
             )
+            return np.take(table, codes, axis=1)
 
         return cls(
             device_ids=np.array([device.device_id for device in devices], dtype=np.int64),
-            tier_codes=np.array([tier_index[device.tier] for device in devices], dtype=np.int8),
+            tier_codes=per_spec([tier_index[spec.tier] for spec in specs], dtype=np.int8),
             num_samples=np.array([device.num_local_samples for device in devices], dtype=np.int64),
-            training_power_scale=np.array(
-                [device.spec.training_power_scale for device in devices], dtype=np.float64
-            ),
-            idle_power_watt=np.array([device.idle_power() for device in devices], dtype=np.float64),
-            awake_power_watt=np.array(
-                [device.awake_power() for device in devices], dtype=np.float64
-            ),
+            training_power_scale=per_spec([spec.training_power_scale for spec in specs]),
+            idle_power_watt=per_spec([device.idle_power() for device in spec_devices]),
+            awake_power_watt=per_spec([device.awake_power() for device in spec_devices]),
             peak_gflops=processor_array("peak_gflops"),
             mem_bandwidth_gbs=processor_array("mem_bandwidth_gbs"),
             peak_power_watt=processor_array("peak_power_watt"),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.profiles import DeviceDataProfile
+from repro.devices.energy import sequential_sum
 from repro.exceptions import SimulationError
 from repro.nn.workloads import WorkloadProfile
 
@@ -75,7 +76,7 @@ class SurrogateConvergenceModel:
         total_samples = sum(profile.num_samples for profile in participants)
         if total_samples == 0:
             return 0.0
-        return sum(
+        return sequential_sum(
             profile.data_quality * profile.num_samples for profile in participants
         ) / total_samples
 

@@ -212,7 +212,7 @@ def bench_fleet_size(
         ctx = RoundContext(
             round_index=0,
             environment=environment,
-            conditions=arrays.lazy_mapping(environment.fleet.device_ids),
+            conditions=arrays.lazy_mapping(environment.device_ids),
             accuracy=0.5,
             condition_arrays=arrays,
             online_mask=None,

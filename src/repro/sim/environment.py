@@ -47,6 +47,9 @@ class EdgeCloudEnvironment:
         self.workload = get_workload_profile(workload)
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.fleet = fleet if fleet is not None else build_fleet(config, self.rng)
+        #: Device ids in fleet order, built once: every round hands them to its
+        #: condition view, which only reads them.
+        self.device_ids: tuple[int, ...] = tuple(self.fleet.device_ids)
         self.data_distribution = DataDistribution.from_name(data_distribution)
         if data_profiles is None:
             num_classes = self.workload.num_classes
@@ -183,7 +186,7 @@ class EdgeCloudEnvironment:
 
     def sample_round_conditions(self) -> dict[int, RoundConditions]:
         """Sample one round's conditions as the per-device mapping policies observe."""
-        return self.sample_condition_arrays().to_mapping(self.fleet.device_ids)
+        return self.sample_condition_arrays().to_mapping(self.device_ids)
 
     # ------------------------------------------------------------------ fleet dynamics
     def round_online_mask(self, round_index: int) -> np.ndarray | None:

@@ -78,7 +78,7 @@ class ReplicatedSimulation:
                 ctx = RoundContext(
                     round_index=round_index,
                     environment=env,
-                    conditions=condition_arrays.lazy_mapping(env.fleet.device_ids),
+                    conditions=condition_arrays.lazy_mapping(env.device_ids),
                     accuracy=sims[i].backend.accuracy,
                     condition_arrays=condition_arrays,
                     online_mask=online_mask,

@@ -303,17 +303,17 @@ class SimulationResult:
     @property
     def total_time_s(self) -> float:
         """Wall-clock time of all executed rounds."""
-        return sum(record.round_time_s for record in self.records)
+        return sequential_sum(record.round_time_s for record in self.records)
 
     @property
     def total_participant_energy_j(self) -> float:
         """Total active energy of participants over all executed rounds."""
-        return sum(record.participant_energy_j for record in self.records)
+        return sequential_sum(record.participant_energy_j for record in self.records)
 
     @property
     def total_global_energy_j(self) -> float:
         """Total population-wide energy over all executed rounds."""
-        return sum(record.global_energy_j for record in self.records)
+        return sequential_sum(record.global_energy_j for record in self.records)
 
     @property
     def mean_round_time_s(self) -> float:
@@ -356,7 +356,7 @@ class SimulationResult:
         if not self.records:
             raise SimulationError("simulation produced no rounds")
         effective = self._until_convergence()
-        convergence_time = sum(record.round_time_s for record in effective)
+        convergence_time = sequential_sum(record.round_time_s for record in effective)
         return EfficiencySummary(
             converged=self.converged_round is not None,
             rounds_executed=self.num_rounds,
@@ -364,8 +364,10 @@ class SimulationResult:
             convergence_time_s=convergence_time,
             total_time_s=self.total_time_s,
             final_accuracy=self.final_accuracy,
-            participant_energy_j=sum(record.participant_energy_j for record in effective),
-            global_energy_j=sum(record.global_energy_j for record in effective),
+            participant_energy_j=sequential_sum(
+                record.participant_energy_j for record in effective
+            ),
+            global_energy_j=sequential_sum(record.global_energy_j for record in effective),
         )
 
     def selection_history(self) -> list[tuple[int, ...]]:

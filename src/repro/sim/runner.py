@@ -142,7 +142,7 @@ class FLSimulation:
             condition_arrays = self._env.sample_condition_arrays()
             # Lazy view: scalar policies see the usual per-device mapping, vectorised
             # ones read the arrays and never pay the O(N) object construction.
-            conditions = condition_arrays.lazy_mapping(self._env.fleet.device_ids)
+            conditions = condition_arrays.lazy_mapping(self._env.device_ids)
             ctx = RoundContext(
                 round_index=round_index,
                 environment=self._env,

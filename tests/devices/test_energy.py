@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.devices.energy import DeviceEnergy, RoundEnergyAccount, sequential_sum
 from repro.exceptions import SimulationError
@@ -72,3 +72,12 @@ class TestSequentialSum:
             expected += value
         assert sequential_sum(np.array(values, dtype=np.float64)) == expected
         assert sequential_sum(iter(values)) == expected
+
+    @given(values=st.lists(st.floats(-1e6, 1e6), max_size=50))
+    @example(values=[-0.0])
+    @example(values=[-0.0, -0.0])
+    def test_iterable_sum_has_the_array_sum_bits(self, values):
+        # Signed zeros included: the loop starts from the first value, as accumulate does.
+        array_sum = sequential_sum(np.array(values, dtype=np.float64))
+        assert sequential_sum(iter(values)).hex() == array_sum.hex()
+        assert sequential_sum(values).hex() == array_sum.hex()

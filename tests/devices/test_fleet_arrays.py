@@ -1,15 +1,20 @@
 """Tests for the struct-of-arrays fleet snapshot and condition arrays."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from repro.devices.device import ExecutionTarget, RoundConditions
+from repro.devices.device import ExecutionTarget, MobileDevice, RoundConditions
+from repro.devices.fleet import Fleet
 from repro.devices.fleet_arrays import (
     PROC_CPU,
     PROC_GPU,
+    TIER_ORDER,
     FleetArrays,
     RoundConditionsArrays,
 )
+from repro.devices.specs import GALAXY_S10E, MI8_PRO, MOTO_X_FORCE
 from repro.exceptions import DeviceError, SimulationError
 
 
@@ -19,16 +24,60 @@ def arrays(small_fleet):
 
 
 class TestFleetArrays:
-    def test_snapshot_matches_devices(self, small_fleet, arrays):
-        assert len(arrays) == len(small_fleet)
-        for row, device in enumerate(small_fleet.devices):
-            assert int(arrays.device_ids[row]) == device.device_id
-            assert arrays.peak_gflops[PROC_CPU, row] == device.spec.cpu.peak_gflops
-            assert arrays.peak_gflops[PROC_GPU, row] == device.spec.gpu.peak_gflops
-            assert arrays.num_vf_steps[PROC_CPU, row] == device.spec.cpu.num_vf_steps
-            assert arrays.idle_power_watt[row] == device.idle_power()
-            assert arrays.awake_power_watt[row] == device.awake_power()
-            assert arrays.num_samples[row] == device.num_local_samples
+    def test_snapshot_matches_devices(self):
+        # The tier specs plus two distinct custom specs of one tier: the snapshot
+        # tabulates per spec object, so equal tiers must not share a table row.
+        custom_a = replace(
+            MI8_PRO,
+            name="custom-a",
+            training_power_scale=0.9,
+            cpu=replace(MI8_PRO.cpu, peak_gflops=31.5, idle_power_watt=0.21, num_vf_steps=7),
+        )
+        custom_b = replace(
+            MI8_PRO,
+            name="custom-b",
+            gpu=replace(MI8_PRO.gpu, mem_bandwidth_gbs=9.5, saturation_batch=48),
+        )
+        specs = [MI8_PRO, custom_a, GALAXY_S10E, custom_b, MOTO_X_FORCE]
+        devices = [
+            MobileDevice(device_id, specs[(device_id * 7) % len(specs)], device_id % 13)
+            for device_id in range(40)
+        ]
+        fleet = Fleet(devices[::-1])
+        arrays = FleetArrays.from_fleet(fleet)
+        order = fleet.devices
+        tier_index = {tier: code for code, tier in enumerate(TIER_ORDER)}
+
+        def per_processor(attr, dtype=np.float64):
+            return np.array(
+                [
+                    [getattr(device.spec.cpu, attr) for device in order],
+                    [getattr(device.spec.gpu, attr) for device in order],
+                ],
+                dtype=dtype,
+            )
+
+        reference = {
+            "device_ids": np.array([d.device_id for d in order], dtype=np.int64),
+            "tier_codes": np.array([tier_index[d.tier] for d in order], dtype=np.int8),
+            "num_samples": np.array([d.num_local_samples for d in order], dtype=np.int64),
+            "training_power_scale": np.array([d.spec.training_power_scale for d in order]),
+            "idle_power_watt": np.array([d.idle_power() for d in order]),
+            "awake_power_watt": np.array([d.awake_power() for d in order]),
+            "peak_gflops": per_processor("peak_gflops"),
+            "mem_bandwidth_gbs": per_processor("mem_bandwidth_gbs"),
+            "peak_power_watt": per_processor("peak_power_watt"),
+            "max_frequency_ghz": per_processor("max_frequency_ghz"),
+            "num_vf_steps": per_processor("num_vf_steps", np.int64),
+            "saturation_batch": per_processor("saturation_batch", np.int64),
+        }
+        assert set(reference) == {f.name for f in fields(FleetArrays)}
+        for name, expected in reference.items():
+            actual = getattr(arrays, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert actual.flags.c_contiguous, name
+            assert actual.tobytes() == expected.tobytes(), name
 
     def test_snapshot_reflects_assigned_samples(self, small_fleet):
         for device in small_fleet:

@@ -1,5 +1,7 @@
 """Tests for the surrogate convergence model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def model():
 
 
 class TestSurrogateConvergence:
+    def test_round_quality_sums_left_to_right(self, model):
+        # One dominant term and ten below half its ULP: a left-to-right sum drops each
+        # small term, a compensated sum (math.fsum, or the built-in sum from Python 3.12
+        # on) keeps them, so the two give different bits.
+        participants = [DeviceDataProfile(0, 1, 1.0, 1.0, False)] + [
+            DeviceDataProfile(device_id, 1, 2e-16, 0.0, True) for device_id in range(1, 11)
+        ]
+        terms = [profile.data_quality * profile.num_samples for profile in participants]
+        expected = 0.0
+        for term in terms:
+            expected += term
+        assert math.fsum(terms) != expected
+        assert model.round_quality(participants) == expected / len(participants)
+
     def test_iid_rounds_make_progress(self, model):
         before = model.accuracy
         after = model.step(_iid_participants(), local_epochs=5, num_expected_participants=10)

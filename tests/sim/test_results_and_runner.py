@@ -1,5 +1,7 @@
 """Tests for result containers and the simulation runner."""
 
+import math
+
 import pytest
 
 from repro.core.selection import RandomPolicy
@@ -36,6 +38,38 @@ class TestSimulationResult:
         assert result.total_global_energy_j == pytest.approx(160.0)
         assert result.mean_round_time_s == pytest.approx(2.5)
         assert result.accuracy_history == [0.5, 0.9]
+
+    def test_totals_and_summary_sum_left_to_right(self):
+        # One dominant term per series and small terms below half its ULP: a
+        # left-to-right sum drops them, a compensated sum (math.fsum, or the built-in sum
+        # from Python 3.12 on) keeps them, so the two give different bits.
+        def series(scale):
+            return [scale] + [scale * 1e-16] * 10
+
+        def left_to_right(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        times, participant, global_j = series(1.0), series(1024.0), series(4096.0)
+        result = SimulationResult("random", "cnn-mnist", 0.95)
+        for index in range(len(times)):
+            result.append(
+                _record(index, 0.5, times[index], participant[index], global_j[index])
+            )
+        result.converged_round = 8
+        summary = result.summary()
+        for values, total, converged_total in (
+            (times, result.total_time_s, summary.convergence_time_s),
+            (participant, result.total_participant_energy_j, summary.participant_energy_j),
+            (global_j, result.total_global_energy_j, summary.global_energy_j),
+        ):
+            assert math.fsum(values) != left_to_right(values)
+            assert math.fsum(values[:9]) != left_to_right(values[:9])
+            assert total == left_to_right(values)
+            assert converged_total == left_to_right(values[:9])
+        assert summary.total_time_s == left_to_right(times)
 
     def test_summary_truncates_at_convergence(self):
         result = SimulationResult("random", "cnn-mnist", 0.95)
