@@ -163,7 +163,7 @@ from repro.telemetry import METRICS_FILENAME, MetricsServer
 from repro.validation import (
     DEFAULT_GOLDEN_DIR,
     GOLDEN_MAX_ROUNDS,
-    GOLDEN_PRESETS,
+    GOLDENS,
     GoldenStore,
     golden_spec,
     run_fuzz,
@@ -983,30 +983,32 @@ def _run_traced_job(args: argparse.Namespace) -> list:
             telemetry.configure(enabled=was_enabled, trace_path=old_sink)
 
 
-def _parse_presets(raw: str) -> tuple[str, ...]:
+def _parse_goldens(raw: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
     if not names:
-        raise ConfigurationError(f"no preset names in {raw!r}")
-    # Resolve each name (with did-you-mean errors) before any recording/checking runs.
+        raise ConfigurationError(f"no golden names in {raw!r}")
+    # Resolve each name (with did-you-mean errors) before any recording/checking runs:
+    # a golden of the table, or a scenario preset recorded in a preset golden's shape.
     for name in names:
-        get_scenario_preset(name)
+        if name not in GOLDENS:
+            get_scenario_preset(name)
     return names
 
 
 def _cmd_validate_record(args: argparse.Namespace) -> int:
     store = GoldenStore(args.dir)
-    for preset in _parse_presets(args.presets):
-        golden = store.record(preset, golden_spec(preset, max_rounds=args.rounds))
+    for name in _parse_goldens(args.presets):
+        golden = store.record(name, golden_spec(name, max_rounds=args.rounds))
         print(
-            f"recorded golden {preset!r}: {golden.num_rounds} rounds, "
-            f"spec {golden.spec_hash[:12]} -> {store.path_for(preset)}"
+            f"recorded golden {name!r}: {golden.num_rounds} rounds, "
+            f"spec {golden.spec_hash[:12]} -> {store.path_for(name)}"
         )
     return 0
 
 
 def _cmd_validate_check(args: argparse.Namespace) -> int:
     store = GoldenStore(args.dir)
-    reports = [store.check(preset) for preset in _parse_presets(args.presets)]
+    reports = [store.check(name) for name in _parse_goldens(args.presets)]
     for report in reports:
         print(report.format())
     if args.report:
@@ -1651,15 +1653,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="golden-trajectory regression and invariant validation",
     )
     validate_sub = validate_parser.add_subparsers(dest="mode", required=True)
-    default_presets = ",".join(GOLDEN_PRESETS)
+    default_goldens = ",".join(GOLDENS)
 
     record_parser = validate_sub.add_parser(
-        "record", help="record golden trajectories for scenario presets"
+        "record", help="record golden trajectories (every committed golden by default)"
     )
     record_parser.add_argument(
         "--presets",
-        default=default_presets,
-        help=f"comma-separated scenario presets (default: {default_presets})",
+        default=default_goldens,
+        help=(
+            "comma-separated golden names or scenario presets "
+            f"(default: every committed golden, {default_goldens})"
+        ),
     )
     record_parser.add_argument(
         "--dir", default=str(DEFAULT_GOLDEN_DIR), help="golden store directory"
@@ -1667,8 +1672,11 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--rounds",
         type=int,
-        default=GOLDEN_MAX_ROUNDS,
-        help=f"rounds recorded per golden (default: {GOLDEN_MAX_ROUNDS})",
+        default=None,
+        help=(
+            "rounds recorded per golden (default: each golden's own; "
+            f"{GOLDEN_MAX_ROUNDS} for a scenario preset)"
+        ),
     )
     record_parser.set_defaults(func=_cmd_validate_record)
 
@@ -1678,8 +1686,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--presets",
-        default=default_presets,
-        help=f"comma-separated scenario presets (default: {default_presets})",
+        default=default_goldens,
+        help=(
+            "comma-separated golden names "
+            f"(default: every committed golden, {default_goldens})"
+        ),
     )
     check_parser.add_argument(
         "--dir", default=str(DEFAULT_GOLDEN_DIR), help="golden store directory"

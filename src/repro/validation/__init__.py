@@ -22,6 +22,7 @@ from repro.validation.golden import (
     GOLDEN_POLICY,
     GOLDEN_PRESETS,
     GOLDEN_SCHEMA_VERSION,
+    GOLDENS,
     Divergence,
     DriftReport,
     GoldenStore,
@@ -51,6 +52,7 @@ __all__ = [
     "GOLDEN_POLICY",
     "GOLDEN_PRESETS",
     "GOLDEN_SCHEMA_VERSION",
+    "GOLDENS",
     "GoldenStore",
     "GoldenTrajectory",
     "InvariantAuditor",

@@ -50,13 +50,60 @@ GOLDEN_MAX_ROUNDS = 5
 #: Policy run in the shipped goldens (the learning policy exercises the feedback path).
 GOLDEN_POLICY = "autofl"
 
+#: Rounds recorded per path golden (the paper fleet, data-distribution and policy
+#: goldens below): long enough for the learning policies' feedback to steer selection.
+PATH_GOLDEN_ROUNDS = 30
 
-def golden_spec(preset: str, max_rounds: int = GOLDEN_MAX_ROUNDS) -> ExperimentSpec:
-    """The canonical single-seed experiment spec recorded for one scenario preset."""
-    scenario = replace(get_scenario_preset(preset), max_rounds=max_rounds)
+
+@dataclass(frozen=True)
+class GoldenCase:
+    """What one committed golden pins: a scenario preset under a policy for a number
+    of rounds, optionally moved to another data distribution (Section 5.2's axis)."""
+
+    preset: str
+    policy: str = GOLDEN_POLICY
+    max_rounds: int = GOLDEN_MAX_ROUNDS
+    data_distribution: str | None = None
+
+
+#: Every committed golden by name (its file stem under ``goldens/``): the four presets,
+#: then one golden per shipped path the presets leave unpinned — the paper's 200-device
+#: fleet, two Non-IID(M%) points, and the other shipped policies on a static and a
+#: faulty fleet.  ``repro validate record`` and ``check`` cover all of them by default.
+GOLDENS: dict[str, GoldenCase] = {
+    **{preset: GoldenCase(preset) for preset in GOLDEN_PRESETS},
+    "paper-200": GoldenCase("paper-200", max_rounds=PATH_GOLDEN_ROUNDS),
+    **{
+        f"fleet-1k-{distribution.replace('_', '-')}": GoldenCase(
+            "fleet-1k", max_rounds=PATH_GOLDEN_ROUNDS, data_distribution=distribution
+        )
+        for distribution in ("non_iid_50", "non_iid_100")
+    },
+    **{
+        f"{preset}-{policy}": GoldenCase(preset, policy=policy, max_rounds=PATH_GOLDEN_ROUNDS)
+        for preset in ("fleet-1k", "flaky-fleet")
+        for policy in ("autofl-fast", "fedavg-random", "ofl")
+    },
+}
+
+
+def golden_spec(name: str, max_rounds: int | None = None) -> ExperimentSpec:
+    """The canonical single-seed experiment spec recorded for one golden.
+
+    ``name`` is a key of :data:`GOLDENS`; any other scenario preset gets a preset
+    golden's shape (:data:`GOLDEN_POLICY` for :data:`GOLDEN_MAX_ROUNDS` rounds).
+    ``max_rounds`` overrides the golden's own round count.
+    """
+    case = GOLDENS.get(name) or GoldenCase(name)
+    scenario = replace(
+        get_scenario_preset(case.preset),
+        max_rounds=case.max_rounds if max_rounds is None else max_rounds,
+    )
+    if case.data_distribution is not None:
+        scenario = replace(scenario, data_distribution=case.data_distribution)
     return ExperimentSpec(
         scenario=scenario,
-        policy=GOLDEN_POLICY,
+        policy=case.policy,
         n_seeds=1,
         stop_at_convergence=False,
     ).validate()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Warehouse, run_query
-from repro.validation.golden import GOLDEN_PRESETS, golden_spec, run_trajectory
+from repro.validation.golden import GOLDEN_PRESETS, GOLDENS, golden_spec, run_trajectory
 
 GOLDEN_DIR = Path(__file__).parents[2] / "goldens"
 
@@ -63,8 +63,8 @@ def _record_values(result, metric: str) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def fresh_results() -> dict:
-    """One fresh deterministic trajectory per committed golden preset."""
-    return {preset: run_trajectory(golden_spec(preset)) for preset in GOLDEN_PRESETS}
+    """One fresh deterministic trajectory per committed golden."""
+    return {name: run_trajectory(golden_spec(name)) for name in GOLDENS}
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestGoldenRoundtrip:
             golden_warehouse, "rounds", group_by=("preset",), metrics=METRICS, aggs=AGGS
         )
         by_preset = {row[0]: row[1:] for row in result.rows}
-        assert set(by_preset) == set(GOLDEN_PRESETS)
+        assert set(by_preset) == set(GOLDENS)
         for preset, fresh in fresh_results.items():
             cells = by_preset[preset]
             position = 0

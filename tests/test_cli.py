@@ -712,9 +712,10 @@ class TestAnalyticsCLI:
         )
         assert code == 0
         payload = json.loads(out)
-        assert {group["preset"] for group in payload} == {
-            "fleet-1k", "diurnal-1k", "flaky-fleet", "churn-heavy"
-        }
+        # Golden rows are labelled by golden name: one group per committed fixture.
+        from repro.validation import GOLDENS
+
+        assert {group["preset"] for group in payload} == set(GOLDENS)
 
     def test_ingest_bench_then_query_bench_shortcut(self, tmp_path, capsys, wh):
         bench = tmp_path / "BENCH_roundengine.json"

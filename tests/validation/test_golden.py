@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.validation.golden import (
     GOLDEN_MAX_ROUNDS,
     GOLDEN_POLICY,
     GOLDEN_PRESETS,
+    GOLDENS,
     GoldenStore,
     diff_trajectories,
     golden_spec,
@@ -19,8 +21,11 @@ from repro.validation.golden import (
     trajectory_rows,
 )
 
-#: A fast spec for store-level tests (the shipped presets are covered by the CLI test
-#: and CI golden-check, which run against the committed fixtures).
+#: The committed golden fixtures (re-run bit for bit by TestCommittedGoldens).
+COMMITTED = GoldenStore(Path(__file__).parents[2] / "goldens")
+
+#: A fast spec for store-level tests (the committed fixtures are re-run by
+#: TestCommittedGoldens and the CI golden-check).
 SMALL = ExperimentSpec(
     scenario=ScenarioSpec(num_devices=30, max_rounds=4, seed=9, setting="S4"),
     policy="fedavg-random",
@@ -182,10 +187,42 @@ class TestGoldenSpecs:
 
     def test_shipped_golden_fixtures_are_recorded(self):
         # The committed fixtures the CI golden-check runs against must exist and load.
-        from pathlib import Path
-
-        store = GoldenStore(Path(__file__).parents[2] / "goldens")
         for preset in GOLDEN_PRESETS:
-            golden = store.load(preset)
+            golden = COMMITTED.load(preset)
             assert golden.num_rounds == GOLDEN_MAX_ROUNDS
             assert golden.spec == golden_spec(preset)
+
+    def test_table_names_every_committed_fixture(self):
+        # One table drives record and check: no fixture is left out of either.
+        assert COMMITTED.names() == sorted(GOLDENS)
+        for name, case in GOLDENS.items():
+            golden = COMMITTED.load(name)
+            assert golden.spec == golden_spec(name)
+            assert golden.num_rounds == case.max_rounds
+            assert golden.spec.policy == case.policy
+
+    def test_path_goldens_cover_the_unpinned_axes(self):
+        specs = [golden_spec(name) for name in GOLDENS]
+        assert {spec.policy for spec in specs} == {
+            "autofl", "autofl-fast", "fedavg-random", "ofl"
+        }
+        assert {spec.scenario.data_distribution for spec in specs} >= {
+            "iid", "non_iid_50", "non_iid_100"
+        }
+        assert golden_spec("paper-200").scenario.num_devices == 200
+
+    def test_max_rounds_overrides_the_table(self):
+        assert golden_spec("fleet-1k-ofl", max_rounds=3).scenario.max_rounds == 3
+        # A preset outside the table gets a preset golden's shape.
+        spec = golden_spec("fleet-10k")
+        assert spec.policy == GOLDEN_POLICY
+        assert spec.scenario.max_rounds == GOLDEN_MAX_ROUNDS
+
+
+class TestCommittedGoldens:
+    """Every committed golden re-runs bit for bit on every supported Python."""
+
+    @pytest.mark.parametrize("name", list(GOLDENS))
+    def test_committed_golden_is_bit_exact(self, name):
+        report = COMMITTED.check(name)
+        assert report.ok, report.format()
