@@ -15,11 +15,35 @@ from _helpers import print_series, realistic_spec
 
 from repro.core.controller import AutoFLPolicy
 from repro.core.qtable import PER_DEVICE, PER_TIER
-from repro.sim.context import RoundContext
-from repro.sim.round_engine import RoundEngine
+from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import build_environment, build_surrogate_backend
 
 ROUNDS = 90
+
+
+class _TimedPolicy:
+    """Forwards to a policy, timing its controller work: selection plus feedback."""
+
+    def __init__(self, policy):
+        self.name = policy.name
+        self._policy = policy
+        self._select_s = 0.0
+        self.overhead_s = []
+
+    def select(self, ctx):
+        started = time.perf_counter()
+        decision = self._policy.select(ctx)
+        self._select_s = time.perf_counter() - started
+        return decision
+
+    def feedback_batch(self, ctx, decision, batch, training):
+        started = time.perf_counter()
+        handled = self._policy.feedback_batch(ctx, decision, batch, training)
+        self.overhead_s.append(self._select_s + (time.perf_counter() - started))
+        return handled
+
+    def feedback(self, ctx, decision, execution, training):
+        raise AssertionError("AutoFL takes its feedback in array form")
 
 
 def _train_policy(sharing: str, vectorized: bool, seed: int = 3):
@@ -29,23 +53,14 @@ def _train_policy(sharing: str, vectorized: bool, seed: int = 3):
     policy = AutoFLPolicy(
         rng=np.random.default_rng(seed), qtable_sharing=sharing, vectorized=vectorized
     )
-    engine = RoundEngine(environment)
-    overhead_s = []
-    for round_index in range(ROUNDS):
-        conditions = environment.sample_round_conditions()
-        ctx = RoundContext(round_index, environment, conditions, backend.accuracy)
-        started = time.perf_counter()
-        decision = policy.select(ctx)
-        select_elapsed = time.perf_counter() - started
-        execution = engine.execute(decision, conditions)
-        training = backend.run_round(execution.participant_ids)
-        started = time.perf_counter()
-        policy.feedback(ctx, decision, execution, training)
-        overhead_s.append(select_elapsed + (time.perf_counter() - started))
+    timed = _TimedPolicy(policy)
+    FLSimulation(
+        environment, timed, backend, max_rounds=ROUNDS, stop_at_convergence=False
+    ).run()
     rewards = policy.reward_history()
     return {
         "rewards": rewards,
-        "mean_overhead_s": float(np.mean(overhead_s)),
+        "mean_overhead_s": float(np.mean(timed.overhead_s)),
         "qtable_entries": policy.agent.qtable_store.total_entries(),
         "num_tables": policy.agent.qtable_store.num_tables,
         "final_accuracy": backend.accuracy,

@@ -46,7 +46,7 @@ DEFAULT_METRICS: dict[str, tuple[str, ...]] = {
         "participant_energy_j",
         "global_energy_j",
     ),
-    "bench": ("scalar_rounds_per_s", "batch_rounds_per_s", "speedup"),
+    "bench": ("batch_rounds_per_s",),
     "metrics": ("value", "count", "sum", "p50", "p95", "p99"),
 }
 

@@ -16,13 +16,13 @@ orchestration service:
   from the local log or an ``/events`` endpoint;
 * ``webhooks`` — register/list/remove/test signed HTTP event callbacks;
 * ``cancel``   — cancel a queued job immediately, a running job cooperatively;
-* ``bench``    — performance trajectories: the scalar-vs-vectorised round engine
-  (``BENCH_roundengine.json``) or the JSONL-vs-SQLite store (``--suite store``,
-  ``BENCH_store.json``);
+* ``bench``    — performance trajectories: the vectorised round engine and seed
+  replication (``BENCH_roundengine.json``) or the JSONL-vs-SQLite store
+  (``--suite store``, ``BENCH_store.json``);
 * ``validate`` — the validation subsystem: ``record`` golden trajectories for scenario
-  presets, ``check`` them bit-exactly against a fresh run (exit 1 on drift, with a
-  report naming the first diverging round and field), and ``fuzz`` randomised scenarios
-  across every registered axis with invariant auditing;
+  presets and shipped paths, ``check`` them bit-exactly against a fresh run (exit 1 on
+  drift, with a report naming the first diverging round and field), and ``fuzz``
+  randomised scenarios across every registered axis with invariant auditing;
 * ``metrics``  — dump a telemetry snapshot (scheduler-written ``metrics.json`` plus
   live queue gauges) in the shared ``--format {table,csv,json}``;
 * ``trace``    — run one traced job end to end (engine → scheduler → warehouse) and
@@ -1223,7 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         default="roundengine",
         choices=("roundengine", "store"),
-        help="what to benchmark (default: scalar vs vectorised round execution)",
+        help="what to benchmark (default: vectorised round execution and seed replication)",
     )
     bench_parser.add_argument(
         "--sizes",
@@ -1234,7 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="[roundengine] timed rounds per path (default: calibrated per fleet size)",
+        help="[roundengine] timed rounds per phase (default: calibrated per fleet size)",
     )
     bench_parser.add_argument(
         "--workload", default="cnn-mnist", help="[roundengine] FL workload name"

@@ -38,8 +38,8 @@ class Policy:
 
     name = "base"
     #: Whether :meth:`feedback` does anything.  Policies that learn from round outcomes
-    #: (AutoFL) set this True; the replicated execution path only supports policies whose
-    #: feedback is a no-op, because it skips the per-round feedback call entirely.
+    #: (AutoFL) set this True, so the default :meth:`feedback_batch` declines the array
+    #: form and the runner hands :meth:`feedback` the scalar view instead.
     uses_feedback = False
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:

@@ -1,8 +1,8 @@
 """Struct-of-arrays views of the fleet for the vectorised simulation path.
 
-The scalar path walks :class:`~repro.devices.device.MobileDevice` objects one at a time,
-which makes a simulated round cost ``O(N)`` Python-interpreter work.  The batched round
-engine instead operates on :class:`FleetArrays` — one numpy array per device attribute,
+Walking :class:`~repro.devices.device.MobileDevice` objects one at a time would make a
+simulated round cost ``O(N)`` Python-interpreter work.  The batched round engine instead
+operates on :class:`FleetArrays` — one numpy array per device attribute,
 aligned on fleet order — so that compute/communication time, thermal throttling and energy
 accounting for thousands of devices collapse into a handful of array expressions.
 
@@ -16,7 +16,7 @@ Two containers live here:
   array per quantity.
 
 All formulas mirror the scalar models in :mod:`repro.devices` exactly, so the batched
-engine is pinned to the scalar reference implementation by equivalence tests.
+engine is pinned to the scalar oracle of the test suite by equivalence tests.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class FleetArrays:
         if self._contiguous_ids:  # type: ignore[attr-defined]
             rows = np.array(device_ids, dtype=np.int64)
             bad = (rows < 0) | (rows >= len(self))
-            if np.any(bad):
+            if bad.any():
                 missing = int(rows[bad][0])
                 raise DeviceError(f"no device with id {missing} in fleet")
             return rows
@@ -185,7 +185,7 @@ class FleetArrays:
         maximum frequency, and a single-step processor always runs at its maximum.
         """
         num_steps = self.num_vf_steps[processors, rows]
-        if np.any(vf_steps < 0) or np.any(vf_steps >= num_steps):
+        if (vf_steps < 0).any() or (vf_steps >= num_steps).any():
             raise DeviceError("V-F step out of range for selected processor")
         max_frequency = self.max_frequency_ghz[processors, rows]
         lowest = 0.4 * max_frequency

@@ -13,15 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.selection import StaticClusterPolicy, make_policy
+from repro.core.selection import Policy, StaticClusterPolicy, make_policy
 from repro.devices.specs import DeviceTier
 from repro.exceptions import ConfigurationError
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.fl.metrics import relative_improvement
-from repro.sim.context import RoundContext
-from repro.sim.results import SimulationResult
-from repro.sim.round_engine import RoundEngine
+from repro.fl.server import RoundTrainingResult
+from repro.sim.context import RoundContext, SelectionDecision
+from repro.sim.results import BatchRoundExecution, RoundExecution, SimulationResult
 from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
 
@@ -152,6 +152,43 @@ def _tier_composition(environment, selected_ids: list[int]) -> dict[str, float]:
     return {tier: count / total for tier, count in counts.items()}
 
 
+class _ShadowedPolicy:
+    """Runs ``policy`` while ``reference`` decides on the same round context.
+
+    The reference only observes — the executed decision is always the policy's, and
+    only the policy receives feedback — and both decisions are kept for scoring.
+    """
+
+    def __init__(self, policy: Policy, reference: Policy) -> None:
+        self.name = policy.name
+        self._policy = policy
+        self._reference = reference
+        self.decisions: list[tuple[SelectionDecision, SelectionDecision]] = []
+
+    def select(self, ctx: RoundContext) -> SelectionDecision:
+        decision = self._policy.select(ctx)
+        self.decisions.append((decision, self._reference.select(ctx)))
+        return decision
+
+    def feedback_batch(
+        self,
+        ctx: RoundContext,
+        decision: SelectionDecision,
+        batch: BatchRoundExecution,
+        training: RoundTrainingResult,
+    ) -> bool:
+        return self._policy.feedback_batch(ctx, decision, batch, training)
+
+    def feedback(
+        self,
+        ctx: RoundContext,
+        decision: SelectionDecision,
+        execution: RoundExecution,
+        training: RoundTrainingResult,
+    ) -> None:
+        self._policy.feedback(ctx, decision, execution, training)
+
+
 def run_with_reference(
     spec: ScenarioSpec,
     policy_name: str = "autofl",
@@ -163,63 +200,45 @@ def run_with_reference(
     The reference policy only observes — the executed decision is always the primary
     policy's — which reproduces the prediction-accuracy methodology of Figure 12: after the
     agent's reward has converged, how often do its participant and execution-target choices
-    match the oracle's?
+    match the oracle's?  Fleet dynamics apply as in any simulation: the reference observes
+    the same online fleet, and the executed decision faces the same mid-round faults.
     """
     environment = build_environment(spec)
     backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
-    policy = make_policy(policy_name, rng=np.random.default_rng(spec.seed + 10_000))
-    reference = make_policy(reference_name, rng=np.random.default_rng(spec.seed + 20_000))
-    engine = RoundEngine(environment)
+    shadowed = _ShadowedPolicy(
+        make_policy(policy_name, rng=np.random.default_rng(spec.seed + 10_000)),
+        make_policy(reference_name, rng=np.random.default_rng(spec.seed + 20_000)),
+    )
+    FLSimulation(
+        environment, shadowed, backend, max_rounds=rounds, stop_at_convergence=False
+    ).run()
     participant_matches: list[float] = []
     target_matches: list[float] = []
     policy_tiers = {"high": 0.0, "mid": 0.0, "low": 0.0}
     reference_tiers = {"high": 0.0, "mid": 0.0, "low": 0.0}
     warmup = rounds // 2
-    for round_index in range(rounds):
-        # Fleet dynamics apply here exactly as in FLSimulation.run_round: the oracle
-        # reference observes the same online fleet and the executed decision faces the
-        # same mid-round faults.
-        online_mask = environment.round_online_mask(round_index)
-        conditions = environment.sample_round_conditions()
-        ctx = RoundContext(
-            round_index=round_index,
-            environment=environment,
-            conditions=conditions,
-            accuracy=backend.accuracy,
-            online_mask=online_mask,
-        )
-        decision = policy.select(ctx)
-        reference_decision = reference.select(ctx)
-        faults = environment.sample_faults(decision.participants, round_index)
-        fault_mapping = None if faults is None else faults.to_mapping(decision.participants)
-        execution = engine.execute(
-            decision, conditions, faults=fault_mapping, online_mask=online_mask
-        )
-        training = backend.run_round(execution.participant_ids)
-        policy.feedback(ctx, decision, execution, training)
-
-        if round_index >= warmup:
-            chosen = set(decision.participants)
-            reference_chosen = set(reference_decision.participants)
-            overlap = len(chosen & reference_chosen) / max(1, len(reference_chosen))
-            participant_matches.append(overlap)
-            shared = chosen & reference_chosen
-            if shared:
-                same_processor = sum(
-                    1
-                    for device_id in shared
-                    if decision.targets.get(device_id) is not None
-                    and reference_decision.targets.get(device_id) is not None
-                    and decision.targets[device_id].processor
-                    == reference_decision.targets[device_id].processor
-                )
-                target_matches.append(same_processor / len(shared))
-            for tier, fraction in _tier_composition(environment, decision.participants).items():
-                policy_tiers[tier] += fraction
-            for tier, fraction in _tier_composition(
-                environment, reference_decision.participants
-            ).items():
-                reference_tiers[tier] += fraction
+    for decision, reference_decision in shadowed.decisions[warmup:]:
+        chosen = set(decision.participants)
+        reference_chosen = set(reference_decision.participants)
+        overlap = len(chosen & reference_chosen) / max(1, len(reference_chosen))
+        participant_matches.append(overlap)
+        shared = chosen & reference_chosen
+        if shared:
+            same_processor = sum(
+                1
+                for device_id in shared
+                if decision.targets.get(device_id) is not None
+                and reference_decision.targets.get(device_id) is not None
+                and decision.targets[device_id].processor
+                == reference_decision.targets[device_id].processor
+            )
+            target_matches.append(same_processor / len(shared))
+        for tier, fraction in _tier_composition(environment, decision.participants).items():
+            policy_tiers[tier] += fraction
+        for tier, fraction in _tier_composition(
+            environment, reference_decision.participants
+        ).items():
+            reference_tiers[tier] += fraction
     observed_rounds = max(1, rounds - warmup)
     return PredictionAccuracyReport(
         policy=policy_name,

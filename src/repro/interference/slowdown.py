@@ -150,5 +150,5 @@ class SlowdownModel:
     @staticmethod
     def _validate_batch(co_cpu_util: np.ndarray, co_mem_util: np.ndarray) -> None:
         for values in (co_cpu_util, co_mem_util):
-            if np.any(values < 0.0) or np.any(values > 1.0):
+            if (values < 0.0).any() or (values > 1.0).any():
                 raise ConfigurationError("co-runner utilisations must be in [0, 1]")

@@ -50,7 +50,7 @@ class ThermalModel:
 
     def throttle_slowdown_batch(self, sustained_power_watt: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`throttle_slowdown` over per-device sustained power draws."""
-        if np.any(sustained_power_watt < 0):
+        if (sustained_power_watt < 0).any():
             raise ConfigurationError("sustained_power_watt must be non-negative")
         excess = np.maximum(0.0, sustained_power_watt - self._budget)
         return 1.0 + self._sensitivity * excess

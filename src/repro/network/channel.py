@@ -118,7 +118,7 @@ class CommunicationModel:
         """
         if model_size_mb < 0:
             raise ConfigurationError("model_size_mb must be non-negative")
-        if np.any(bandwidth_mbps <= 0):
+        if (bandwidth_mbps <= 0).any():
             raise ConfigurationError("bandwidth_mbps must be positive")
         payload_megabits = model_size_mb * 8.0 * self._protocol_overhead
         upload_time = payload_megabits / bandwidth_mbps

@@ -1,10 +1,9 @@
 """Round-engine throughput benchmark backing ``python -m repro bench``.
 
-The benchmark pits the scalar reference path (:meth:`RoundEngine.execute`) against the
-vectorised path (:meth:`RoundEngine.execute_batch`) on identical selections and
-conditions at several fleet sizes, reports rounds/sec for both, and writes the
-measurements to a JSON file so the speedup of every perf change lands in the recorded
-trajectory of the repository.
+The benchmark times the engine (:meth:`RoundEngine.execute_batch`) and the control plane
+on identical selections and conditions at several fleet sizes, reports rounds/sec, times
+N serial seed runs against one replicated run, and writes the measurements to a JSON
+file so every perf change lands in the recorded trajectory of the repository.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ DEFAULT_BENCH_OUTPUT = "BENCH_roundengine.json"
 
 @dataclass(frozen=True)
 class BenchSizeResult:
-    """Timed comparison of the two engine paths at one fleet size.
+    """Timed engine throughput at one fleet size.
 
     ``control_plane_round_s`` is the per-round cost of the control plane (condition
     sampling plus participant selection) and ``energy_math_round_s`` the per-round cost
@@ -57,10 +56,7 @@ class BenchSizeResult:
 
     num_devices: int
     num_participants: int
-    scalar_rounds_per_s: float
     batch_rounds_per_s: float
-    speedup: float
-    scalar_repeats: int
     batch_repeats: int
     control_plane_round_s: float
     energy_math_round_s: float
@@ -180,25 +176,14 @@ def bench_fleet_size(
     network: str = "variable",
     repeats: int | None = None,
 ) -> BenchSizeResult:
-    """Time scalar vs batched round execution at one fleet size.
-
-    Both paths execute the same selection under the same sampled conditions, so the
-    comparison isolates the engine implementation.
-    """
+    """Time batched round execution and the control plane at one fleet size."""
     if num_devices < 20:
         raise ConfigurationError("bench fleet sizes below 20 devices are not meaningful")
     environment = _build_environment(num_devices, seed, workload, interference, network)
     engine = RoundEngine(environment)
     condition_arrays = environment.sample_condition_arrays()
-    conditions = condition_arrays.to_mapping(environment.fleet.device_ids)
     decision = SelectionDecision(
         participants=environment.fleet.device_ids[: _participants_for(num_devices)]
-    )
-    # Each path calibrates its own repeat count (unless pinned): at large fleets the
-    # scalar path affords only a handful of samples per time budget, and reusing that
-    # count would leave the sub-millisecond batch minimum under-sampled and noisy.
-    scalar_rps, scalar_repeats = _time_rounds(
-        lambda: engine.execute(decision, conditions), repeats
     )
     batch_rps, batch_repeats = _time_rounds(
         lambda: engine.execute_batch(decision, condition_arrays), repeats
@@ -223,10 +208,7 @@ def bench_fleet_size(
     return BenchSizeResult(
         num_devices=num_devices,
         num_participants=_participants_for(num_devices),
-        scalar_rounds_per_s=scalar_rps,
         batch_rounds_per_s=batch_rps,
-        speedup=batch_rps / scalar_rps,
-        scalar_repeats=scalar_repeats,
         batch_repeats=batch_repeats,
         control_plane_round_s=1.0 / control_rps,
         energy_math_round_s=1.0 / batch_rps,
@@ -251,6 +233,7 @@ def bench_replication(
     if rounds < 1:
         raise ConfigurationError("replication bench needs at least 1 round")
     # Local import: the scenario/runner layer sits above the engine this module times.
+    from repro.sim.replicated import ReplicatedSimulation
     from repro.sim.runner import FLSimulation
     from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
 
@@ -283,7 +266,7 @@ def bench_replication(
     serial_wall = time.perf_counter() - start
     replicated_sims = [build(seed + index) for index in range(replicates)]
     start = time.perf_counter()
-    FLSimulation.run_replicated(replicated_sims)
+    ReplicatedSimulation(replicated_sims).run()
     replicated_wall = time.perf_counter() - start
     return ReplicationBenchResult(
         num_devices=num_devices,
@@ -352,8 +335,7 @@ def run_roundengine_bench(
 def format_bench_record(record: dict) -> str:
     """Human-readable table of a benchmark record for the CLI."""
     header = (
-        f"{'devices':>8}  {'K':>5}  {'scalar r/s':>11}  {'batch r/s':>11}  {'speedup':>8}"
-        f"  {'ctrl ms/rd':>10}  {'math ms/rd':>10}"
+        f"{'devices':>8}  {'K':>5}  {'batch r/s':>11}  {'ctrl ms/rd':>10}  {'math ms/rd':>10}"
     )
     lines = [header, "-" * len(header)]
     for row in record["results"]:
@@ -361,8 +343,7 @@ def format_bench_record(record: dict) -> str:
         math_ms = row.get("energy_math_round_s")
         lines.append(
             f"{row['num_devices']:>8}  {row['num_participants']:>5}  "
-            f"{row['scalar_rounds_per_s']:>11.2f}  {row['batch_rounds_per_s']:>11.2f}  "
-            f"{row['speedup']:>7.1f}x  "
+            f"{row['batch_rounds_per_s']:>11.2f}  "
             f"{'' if control_ms is None else format(control_ms * 1e3, '10.3f')}  "
             f"{'' if math_ms is None else format(math_ms * 1e3, '10.3f')}"
         )

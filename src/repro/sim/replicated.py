@@ -1,32 +1,31 @@
-"""Replicated simulation driver: N seeds of one scenario through one engine call.
+"""The round loop: R >= 1 seed replicates of one scenario through one engine call per round.
 
 Seed replication re-runs the *same* scenario under different RNG seeds to average out
-run-to-run noise.  The physics of the replicates is embarrassingly parallel, so instead of
-N serial :meth:`~repro.sim.runner.FLSimulation.run` loops this driver advances all
-replicates round by round and executes each round's device physics as a single stacked
-``[replicates, participants]`` engine call
-(:func:`~repro.sim.round_engine.execute_batch_replicated`).
+run-to-run noise.  The physics of the replicates is embarrassingly parallel, so this
+driver advances all replicates round by round and executes each round's device physics
+as one stacked ``[replicates, participants]`` engine call
+(:func:`~repro.sim.round_engine.execute_batch_replicated`).  It is the only multi-round
+loop: a solo :meth:`~repro.sim.runner.FLSimulation.run` is its one-replicate case.
 
-The control plane stays per-replicate and follows the exact per-round call order of the
-solo runner — online mask, condition sampling, selection, fault draw — on each replicate's
-own RNG streams, and the round records come from the solo runner's ``record_from_batch``.
-Every replicate's :class:`SimulationResult` is therefore byte-identical (``to_json``) to
-running that seed alone.
-
-The path applies only to non-learning policies (``uses_feedback`` False) without a round
-observer, because it skips the per-round feedback call and the observer hook.
+Each replicate runs the solo runner's own round steps in the solo call order — online
+mask, condition sampling, selection, fault draw, then training, policy feedback, record,
+telemetry and round observer — on its own RNG streams, so learning policies learn per
+replicate and every replicate's :class:`SimulationResult` is byte-identical
+(``to_json``) to running that seed alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.sim.context import RoundContext
-from repro.sim.results import SimulationResult, record_from_batch
+from repro.sim.results import RoundRecord, SimulationResult, record_from_batch
 from repro.sim.round_engine import execute_batch_replicated
-from repro.sim.runner import FLSimulation
+
+if TYPE_CHECKING:  # pragma: no cover - import only used for typing
+    from repro.sim.runner import FLSimulation
 
 #: Record assembly, shared with the solo runner.  The loop below calls it through this
 #: module global, so a profiler can wrap the replicated record path on its own.
@@ -39,12 +38,6 @@ class ReplicatedSimulation:
     def __init__(self, simulations: Sequence[FLSimulation]) -> None:
         if not simulations:
             raise SimulationError("replicated execution needs at least one simulation")
-        for sim in simulations:
-            if not sim.replication_supported:
-                raise SimulationError(
-                    f"policy {sim.policy.name!r} (or a round observer) requires per-round "
-                    "feedback; run its seeds serially instead of replicated"
-                )
         self._sims = list(simulations)
 
     def run(self) -> list[SimulationResult]:
@@ -58,64 +51,60 @@ class ReplicatedSimulation:
             )
             for sim in sims
         ]
-        done = [False] * len(sims)
+        # Looked up once per run rather than per replicate-round.
+        feedbacks = [getattr(sim.policy, "feedback_batch", None) for sim in sims]
+        active = list(range(len(sims)))
         round_index = 0
-        while True:
-            active = [
-                i
-                for i, sim in enumerate(sims)
-                if not done[i] and round_index < sim._max_rounds
-            ]
-            if not active:
-                break
-            # Control plane per replicate, in the solo runner's exact call order so each
-            # replicate consumes its RNG streams identically to a standalone run.
-            contexts, decisions, faults, masks = [], [], [], []
-            for i in active:
-                env = sims[i].environment
-                online_mask = env.round_online_mask(round_index)
-                condition_arrays = env.sample_condition_arrays()
-                ctx = RoundContext(
-                    round_index=round_index,
-                    environment=env,
-                    conditions=condition_arrays.lazy_mapping(env.device_ids),
-                    accuracy=sims[i].backend.accuracy,
-                    condition_arrays=condition_arrays,
-                    online_mask=online_mask,
-                )
-                decision = sims[i].policy.select(ctx)
-                if not decision.participants:
-                    raise SimulationError(
-                        f"policy {sims[i].policy.name!r} selected no participants"
-                    )
-                contexts.append(ctx)
-                decisions.append(decision)
-                faults.append(env.sample_faults(decision.participants, round_index))
-                masks.append(online_mask)
-            # One stacked engine call for the whole round's physics.
-            with telemetry.get_tracer().span(
-                "replicated_round",
-                category="engine",
-                round=round_index,
-                replicates=len(active),
-            ):
-                batches = execute_batch_replicated(
-                    [sims[i]._engine for i in active],
-                    decisions,
-                    [ctx.condition_arrays for ctx in contexts],
-                    faults=faults,
-                    online_masks=masks,
-                )
-            for pos, i in enumerate(active):
-                batch = batches[pos]
-                training = sims[i].backend.run_round(batch.participant_ids)
-                record = _record_from_batch(
-                    round_index, decisions[pos], batch, training, masks[pos]
-                )
-                results[i].append(record)
-                if sims[i]._tracker.update(round_index, record.accuracy):
-                    results[i].converged_round = sims[i]._tracker.converged_round
-                    if sims[i]._stop_at_convergence:
-                        done[i] = True
-            round_index += 1
+        with telemetry.get_tracer().span(
+            "simulation",
+            category="engine",
+            policy=sims[0].policy.name,
+            workload=sims[0].environment.workload.name,
+        ):
+            while active:
+                records = self._run_round(round_index, active, feedbacks)
+                still_active = []
+                for i, record in zip(active, records):
+                    sim = sims[i]
+                    results[i].append(record)
+                    if sim._tracker.update(round_index, record.accuracy):
+                        results[i].converged_round = sim._tracker.converged_round
+                        if sim._stop_at_convergence:
+                            continue
+                    if round_index + 1 < sim._max_rounds:
+                        still_active.append(i)
+                active = still_active
+                round_index += 1
         return results
+
+    def _run_round(
+        self, round_index: int, active: list[int], feedbacks: list
+    ) -> list[RoundRecord]:
+        """One round of the active replicates, each phase opened once for all of them.
+
+        The phase spans are named like the solo runner's, so a one-replicate trace
+        reads exactly like :meth:`~repro.sim.runner.FLSimulation.run_round`.
+        """
+        sims = [self._sims[i] for i in active]
+        tracer = telemetry.get_tracer()
+        with tracer.span("control_plane", category="engine", round=round_index):
+            opened = [sim._open_round(round_index) for sim in sims]
+        with tracer.span("energy_math", category="engine", round=round_index):
+            # Faults are drawn after selection, as in run_round.
+            faults = [
+                sim.environment.sample_faults(decision.participants, round_index)
+                for sim, (_, decision) in zip(sims, opened)
+            ]
+            batches = execute_batch_replicated(
+                [sim._engine for sim in sims],
+                [decision for _, decision in opened],
+                [ctx.condition_arrays for ctx, _ in opened],
+                faults=faults,
+                online_masks=[ctx.online_mask for ctx, _ in opened],
+            )
+        registry = telemetry.get_registry()
+        with tracer.span("feedback", category="engine", round=round_index):
+            return [
+                sim._close_round(ctx, decision, batch, feedbacks[i], registry, _record_from_batch)
+                for i, sim, (ctx, decision), batch in zip(active, sims, opened, batches)
+            ]

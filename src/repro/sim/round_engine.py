@@ -1,29 +1,28 @@
 """Round execution engine: per-device compute/communication time, energy and stragglers.
 
-Two execution paths share the same physical models:
+The engine evaluates a whole selection as numpy array expressions over the environment's
+:class:`~repro.devices.fleet_arrays.FleetArrays` snapshot, which is what makes
+thousand-device fleets simulate in constant Python time.
+:meth:`RoundEngine.execute_batch` runs one round; :func:`execute_batch_replicated` runs
+one round of several seed replicates, stacking same-size selections into
+``[replicates, K]`` arrays.  Both share one preparation and one result assembly per
+replicate.
 
-* the scalar path (:meth:`RoundEngine.estimate_device` / :meth:`RoundEngine.execute`)
-  walks :class:`~repro.devices.device.MobileDevice` objects one at a time and is kept as
-  the readable reference implementation;
-* the vectorised path (:meth:`RoundEngine.estimate_batch` /
-  :meth:`RoundEngine.execute_batch`) evaluates the whole selection as numpy array
-  expressions over the environment's :class:`~repro.devices.fleet_arrays.FleetArrays`
-  snapshot, which is what makes thousand-device fleets simulate in constant Python time.
-
-Equivalence tests pin the batched path to the scalar reference within 1e-9.
+The readable per-device reference implementation (the scalar oracle,
+``tests/scalar_engine.py``) lives with the tests, which pin this engine to it within
+1e-9.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.devices.device import ExecutionTarget, MobileDevice, RoundConditions
-from repro.devices.energy import DeviceEnergy, RoundEnergyAccount
+from repro.devices.device import RoundConditions
 from repro.devices.fleet_arrays import (
     PROC_CPU,
     PROC_GPU,
@@ -33,18 +32,13 @@ from repro.devices.fleet_arrays import (
 from repro.devices.performance import (
     ACHIEVABLE_BANDWIDTH_FRACTION,
     ACHIEVABLE_COMPUTE_FRACTION,
-    ComputeWorkload,
 )
-from repro.devices.power import (
-    DVFS_POWER_EXPONENT,
-    STATIC_POWER_FRACTION,
-    busy_power_at_frequency,
-)
-from repro.dynamics.faults import DeviceFault, FaultDraw
+from repro.devices.power import DVFS_POWER_EXPONENT, STATIC_POWER_FRACTION
+from repro.dynamics.faults import FaultDraw
 from repro.exceptions import SimulationError
 from repro.sim.context import SelectionDecision
 from repro.sim.environment import EdgeCloudEnvironment
-from repro.sim.results import BatchRoundExecution, DeviceRoundOutcome, RoundExecution
+from repro.sim.results import BatchRoundExecution
 
 #: A selected device whose round time exceeds this multiple of the median participant's
 #: round time is treated as a severe straggler and excluded from the aggregation, mirroring
@@ -60,24 +54,6 @@ SELECTION_SIZE_BUCKETS: tuple[float, ...] = (
     1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
     10000, 20000, 50000, 100000, 200000, 500000, 1000000,
 )
-
-
-def straggler_deadline(times: np.ndarray, cutoff: float) -> float:
-    """Round deadline implied by the straggler cutoff for the given outcome times.
-
-    The deadline is ``cutoff`` times the median participant time.  When the median is
-    zero the cutoff is undefined: if some participants still take time, the slowest one
-    sets the deadline (nobody is dropped); if *every* outcome time is zero — empty
-    shards and instant links — there is no straggler structure at all, so the deadline
-    is infinite rather than the degenerate ``0.0`` that would truncate by ``0/0``.
-    """
-    median_time = float(np.median(times))
-    if median_time > 0:
-        return cutoff * median_time
-    max_time = float(times.max())
-    if max_time > 0:
-        return max_time
-    return math.inf
 
 
 @dataclass(frozen=True)
@@ -96,8 +72,7 @@ class BatchEstimates:
         return self.compute_time_s + self.communication_time_s
 
 
-@dataclass(frozen=True)
-class _StaticInputs:
+class _StaticInputs(NamedTuple):
     """Condition-independent per-participant gathers for one selection.
 
     Everything the estimate math needs from a :class:`FleetArrays` snapshot, gathered
@@ -137,16 +112,10 @@ class _StaticInputs:
 
     @classmethod
     def stack(cls, inputs: Sequence["_StaticInputs"]) -> "_StaticInputs":
-        return cls(
-            **{
-                spec.name: np.stack([getattr(item, spec.name) for item in inputs])
-                for spec in fields(cls)
-            }
-        )
+        return cls(*(np.stack(column) for column in zip(*inputs)))
 
 
-@dataclass(frozen=True)
-class _ResolvedRound:
+class _ResolvedRound(NamedTuple):
     """Straggler/fault/waiting resolution of one (or a stack of) executed round(s).
 
     Per-participant arrays have the shape of the estimates they came from (``[K]`` or
@@ -162,6 +131,26 @@ class _ResolvedRound:
     dropped: np.ndarray
     round_time: np.ndarray
 
+    def row(self, index: int) -> "_ResolvedRound":
+        """The ``[K]`` resolution of one replicate of a stacked resolution."""
+        return _ResolvedRound(*(array[index] for array in self))
+
+
+class _PreparedRound(NamedTuple):
+    """One replicate's checked selection, gathered for the estimate math.
+
+    ``fault_slowdown`` and ``failed`` are ``None`` when the round draws no slow fault
+    or no upload failure, which keeps the fault-free dataflow bit-exact.
+    """
+
+    rows: np.ndarray
+    processors: np.ndarray
+    vf_steps: np.ndarray
+    static: _StaticInputs
+    conditions: RoundConditionsArrays
+    fault_slowdown: np.ndarray | None
+    failed: np.ndarray | None
+
 
 class RoundEngine:
     """Executes the system side of one aggregation round for a given selection decision."""
@@ -175,73 +164,6 @@ class RoundEngine:
         self._straggler_cutoff = straggler_cutoff
 
     # ------------------------------------------------------------------ estimation
-    def device_round_workload(self, device: MobileDevice) -> ComputeWorkload:
-        """Local-training computational demand of one device for the current job."""
-        params = self._env.global_params
-        return ComputeWorkload.for_round(
-            flops_per_sample=self._env.workload.flops_per_sample,
-            bytes_per_sample=self._env.workload.bytes_per_sample,
-            num_samples=device.num_local_samples,
-            batch_size=params.batch_size,
-            local_epochs=params.local_epochs,
-        )
-
-    def estimate_device(
-        self,
-        device: MobileDevice,
-        target: ExecutionTarget,
-        conditions: RoundConditions,
-    ) -> DeviceRoundOutcome:
-        """Predict one selected device's time and energy for the round.
-
-        Interference from co-running applications slows the selected processor, sustained
-        power above the thermal budget adds throttling, and the sampled bandwidth determines
-        communication time and radio energy.  This is the scalar reference implementation;
-        :meth:`estimate_batch` computes the same quantities for a whole selection at once.
-        """
-        workload = self.device_round_workload(device)
-        slowdown = self._env.slowdown
-        capability = device.spec.processor("cpu").peak_gflops
-        compute_slowdown = slowdown.compute_slowdown(
-            conditions.co_cpu_util, conditions.co_mem_util, target.processor, capability
-        )
-        memory_slowdown = slowdown.memory_slowdown(
-            conditions.co_cpu_util, conditions.co_mem_util, target.processor, capability
-        )
-        estimate = device.estimate_compute(workload, target, compute_slowdown, memory_slowdown)
-
-        # Thermal throttling: sustained power above the chassis budget slows the CPU further.
-        if target.processor == "cpu" and estimate.time_s > 0:
-            spec = device.spec.processor(target.processor)
-            sustained_power = busy_power_at_frequency(
-                spec, target.vf_step, estimate.utilization, device.spec.training_power_scale
-            ) + CO_RUNNER_POWER_WATT * conditions.co_cpu_util
-            throttle = self._env.thermal.throttle_slowdown(sustained_power)
-            if throttle > 1.0:
-                estimate = device.estimate_compute(
-                    workload, target, compute_slowdown * throttle, memory_slowdown
-                )
-
-        communication = self._env.communication.estimate(
-            model_size_mb=self._env.workload.model_size_mb,
-            bandwidth_mbps=conditions.bandwidth_mbps,
-        )
-        # The radio front-end and modem of lower-tier platforms draw proportionally less
-        # power, mirroring the tier-level platform power calibration of the compute side.
-        communication_energy = communication.energy_j * device.spec.training_power_scale
-        energy = DeviceEnergy(
-            compute_j=estimate.energy_j,
-            communication_j=communication_energy,
-            idle_j=0.0,
-        )
-        return DeviceRoundOutcome(
-            device_id=device.device_id,
-            target=target,
-            compute_time_s=estimate.time_s,
-            communication_time_s=communication.total_time_s,
-            energy=energy,
-        )
-
     def estimate_batch(
         self,
         rows: np.ndarray,
@@ -249,7 +171,7 @@ class RoundEngine:
         vf_steps: np.ndarray,
         conditions: RoundConditionsArrays,
     ) -> BatchEstimates:
-        """Vectorised :meth:`estimate_device` for one device subset.
+        """Per-participant round time and energy estimates for one device subset.
 
         Parameters
         ----------
@@ -417,10 +339,10 @@ class RoundEngine:
     ) -> BatchRoundExecution:
         """Execute the round as array operations over the whole selection.
 
-        Semantically identical to :meth:`execute` — same straggler cutoff, truncation,
-        waiting and idle accounting — but returns a :class:`BatchRoundExecution` whose
-        per-device quantities stay in numpy arrays.  ``conditions`` may be the usual
-        per-device mapping or fleet-wide :class:`RoundConditionsArrays`.
+        Applies the straggler cutoff, truncation, waiting and idle accounting, and
+        returns a :class:`BatchRoundExecution` whose per-device quantities stay in
+        numpy arrays.  ``conditions`` may be the usual per-device mapping or fleet-wide
+        :class:`RoundConditionsArrays`.
 
         ``faults`` (aligned on the selection order) injects mid-round failures:
         slow-fail stragglers stretch a participant's compute time and energy before the
@@ -431,6 +353,22 @@ class RoundEngine:
         out of the population this round.  Both default to the static, fault-free
         behaviour bit-exactly.
         """
+        prepared = self._prepare(decision, conditions, faults, online_mask)
+        estimates = self._estimate_math(prepared.static, prepared.conditions)
+        resolved = self._resolve_round(
+            estimates, prepared.static, prepared.fault_slowdown, prepared.failed
+        )
+        _count_rounds([prepared])
+        return self._assemble(decision, prepared, resolved, online_mask)
+
+    def _prepare(
+        self,
+        decision: SelectionDecision,
+        conditions: Mapping[int, RoundConditions] | RoundConditionsArrays,
+        faults: FaultDraw | None,
+        online_mask: np.ndarray | None,
+    ) -> _PreparedRound:
+        """Check one selection and gather its targets, conditions, faults and inputs."""
         if not decision.participants:
             raise SimulationError("a round needs at least one selected participant")
         arrays = self._env.fleet_arrays
@@ -438,44 +376,45 @@ class RoundEngine:
         if online_mask is not None:
             self._check_selection_online(rows, online_mask)
         processors, vf_steps = self._decision_targets(decision, rows)
-        participant_conditions = self._participant_conditions(decision, conditions, rows)
-        static = _StaticInputs.gather(arrays, rows, processors, vf_steps)
-        estimates = self._estimate_math(static, participant_conditions)
-
         fault_slowdown = None
         failed = None
         if faults is not None:
             if len(faults) != len(rows):
                 raise SimulationError("fault draw must align with the selection")
-            if np.any(faults.compute_slowdown > 1.0):
+            if (faults.compute_slowdown > 1.0).any():
                 fault_slowdown = faults.compute_slowdown
             if faults.upload_failure.any():
                 failed = faults.upload_failure
+        return _PreparedRound(
+            rows=rows,
+            processors=processors,
+            vf_steps=vf_steps,
+            static=_StaticInputs.gather(arrays, rows, processors, vf_steps),
+            conditions=self._participant_conditions(decision, conditions, rows),
+            fault_slowdown=fault_slowdown,
+            failed=failed,
+        )
 
-        resolved = self._resolve_round(estimates, static, fault_slowdown, failed)
+    def _assemble(
+        self,
+        decision: SelectionDecision,
+        prepared: _PreparedRound,
+        resolved: _ResolvedRound,
+        online_mask: np.ndarray | None,
+    ) -> BatchRoundExecution:
+        """The round's result from one replicate's ``[K]`` resolution, idle energy added."""
+        arrays = self._env.fleet_arrays
         round_time = float(resolved.round_time[0])
         idle_j = arrays.idle_power_watt * round_time
-        idle_j[rows] = 0.0
+        idle_j[prepared.rows] = 0.0
         if online_mask is not None:
             # Offline devices are unreachable (or churned away) — they are not idling
             # on behalf of this training job, so the global account excludes them.
             idle_j = np.where(np.asarray(online_mask, dtype=bool), idle_j, 0.0)
-
-        registry = telemetry.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_engine_batch_rounds_total", help="Vectorised engine round executions."
-            ).inc()
-            registry.histogram(
-                "repro_engine_selection_size",
-                help="Participants per executed round.",
-                buckets=SELECTION_SIZE_BUCKETS,
-            ).observe(float(len(rows)))
-
         return BatchRoundExecution(
             selected_ids=np.array(decision.participants, dtype=np.int64),
-            processors=processors,
-            vf_steps=vf_steps,
+            processors=prepared.processors,
+            vf_steps=prepared.vf_steps,
             compute_time_s=resolved.compute_time_s,
             communication_time_s=resolved.communication_time_s,
             compute_j=resolved.compute_j,
@@ -485,8 +424,8 @@ class RoundEngine:
             round_time_s=round_time,
             fleet_device_ids=arrays.device_ids,
             idle_j=idle_j,
-            failed=failed,  # BatchRoundExecution defaults None to all-False.
-            rows=rows,
+            failed=prepared.failed,  # BatchRoundExecution defaults None to all-False.
+            rows=prepared.rows,
         )
 
     def _resolve_round(
@@ -512,8 +451,8 @@ class RoundEngine:
             compute_j_est = compute_j_est * fault_slowdown
 
         times = compute_time_est + estimates.communication_time_s
-        # Vectorised straggler_deadline(): cutoff times the median participant time,
-        # falling back to the slowest participant and then to +inf per stacked row.
+        # The straggler deadline: cutoff times the median participant time, falling
+        # back to the slowest participant and then to +inf (all-zero times) per row.
         median_time = np.median(times, axis=-1, keepdims=True)
         max_time = np.max(times, axis=-1, keepdims=True)
         deadline = np.where(
@@ -547,7 +486,7 @@ class RoundEngine:
 
         excluded = dropped if failed is None else dropped | failed
         retained = ~excluded
-        has_retained = np.any(retained, axis=-1, keepdims=True)
+        has_retained = retained.any(axis=-1, keepdims=True)
         retained_max = np.max(np.where(retained, final_times, -np.inf), axis=-1, keepdims=True)
         round_time = np.where(
             has_retained,
@@ -576,148 +515,6 @@ class RoundEngine:
             round_time=round_time,
         )
 
-    def execute(
-        self,
-        decision: SelectionDecision,
-        conditions: Mapping[int, RoundConditions],
-        faults: Mapping[int, DeviceFault] | None = None,
-        online_mask: np.ndarray | None = None,
-    ) -> RoundExecution:
-        """Execute the round: evaluate every selected device, apply the straggler cutoff,
-        and account idle energy for non-selected devices.
-
-        ``faults`` / ``online_mask`` mirror :meth:`execute_batch`: slow-fail stragglers
-        stretch compute before the cutoff, upload failures waste their compute without
-        transmitting, and offline devices can neither be selected nor draw idle energy.
-        """
-        if not decision.participants:
-            raise SimulationError("a round needs at least one selected participant")
-        if online_mask is not None:
-            rows = self._env.fleet_arrays.rows_for(decision.participants)
-            self._check_selection_online(rows, online_mask)
-        fault_of: Mapping[int, DeviceFault] = faults if faults is not None else {}
-        outcomes: dict[int, DeviceRoundOutcome] = {}
-        for device_id in decision.participants:
-            device = self._env.fleet[device_id]
-            target = decision.target_for(device_id, device.default_target())
-            try:
-                condition = conditions[device_id]
-            except KeyError:
-                raise SimulationError(
-                    f"no round conditions for selected device {device_id}"
-                ) from None
-            outcome = self.estimate_device(device, target, condition)
-            fault = fault_of.get(device_id)
-            if fault is not None and fault.compute_slowdown > 1.0:
-                outcome = DeviceRoundOutcome(
-                    device_id=device_id,
-                    target=outcome.target,
-                    compute_time_s=outcome.compute_time_s * fault.compute_slowdown,
-                    communication_time_s=outcome.communication_time_s,
-                    energy=DeviceEnergy(
-                        compute_j=outcome.energy.compute_j * fault.compute_slowdown,
-                        communication_j=outcome.energy.communication_j,
-                        idle_j=outcome.energy.idle_j,
-                    ),
-                )
-            outcomes[device_id] = outcome
-
-        times = np.array([outcome.total_time_s for outcome in outcomes.values()])
-        deadline = straggler_deadline(times, self._straggler_cutoff)
-
-        final_outcomes: dict[int, DeviceRoundOutcome] = {}
-        retained_times: list[float] = []
-        for device_id, outcome in outcomes.items():
-            fault = fault_of.get(device_id)
-            failed = bool(fault.upload_failure) if fault is not None else False
-            dropped = outcome.total_time_s > deadline
-            if failed:
-                # Dropout before upload: local training ran (capped at the deadline)
-                # but the update never reached the server.
-                capped = min(outcome.compute_time_s, deadline)
-                frac = capped / outcome.compute_time_s if outcome.compute_time_s > 0 else 1.0
-                final_outcomes[device_id] = DeviceRoundOutcome(
-                    device_id=device_id,
-                    target=outcome.target,
-                    compute_time_s=capped,
-                    communication_time_s=0.0,
-                    energy=DeviceEnergy(
-                        compute_j=outcome.energy.compute_j * frac,
-                        communication_j=0.0,
-                        idle_j=outcome.energy.idle_j,
-                    ),
-                    dropped=dropped,
-                    failed=True,
-                )
-            elif dropped:
-                # The server closes the round at the deadline; the straggler aborts, so it
-                # only spends energy up to the deadline (scaled proportionally).
-                truncation = deadline / outcome.total_time_s
-                final_outcomes[device_id] = DeviceRoundOutcome(
-                    device_id=device_id,
-                    target=outcome.target,
-                    compute_time_s=outcome.compute_time_s * truncation,
-                    communication_time_s=outcome.communication_time_s * truncation,
-                    energy=DeviceEnergy(
-                        compute_j=outcome.energy.compute_j * truncation,
-                        communication_j=outcome.energy.communication_j * truncation,
-                        idle_j=outcome.energy.idle_j,
-                    ),
-                    dropped=True,
-                )
-            else:
-                final_outcomes[device_id] = outcome
-                retained_times.append(outcome.total_time_s)
-
-        if retained_times:
-            round_time = max(retained_times)
-        elif math.isfinite(deadline):
-            round_time = deadline
-        else:  # Every participant failed with zero-time outcomes: nothing to wait for.
-            round_time = max(outcome.total_time_s for outcome in final_outcomes.values())
-
-        energy_account = RoundEnergyAccount()
-        selected_ids = set(decision.participants)
-        online = (
-            None if online_mask is None else np.asarray(online_mask, dtype=bool)
-        )
-        for row, device in enumerate(self._env.fleet):
-            if device.device_id in selected_ids:
-                outcome = final_outcomes[device.device_id]
-                # Participants that finish before the round closes stay awake (wakelock,
-                # radio connected) waiting for the aggregated model, at awake power.
-                # Mid-round failures are dead — they wait for nothing.
-                waiting_time = (
-                    0.0
-                    if outcome.failed
-                    else max(0.0, round_time - min(outcome.total_time_s, round_time))
-                )
-                energy_with_wait = DeviceEnergy(
-                    compute_j=outcome.energy.compute_j,
-                    communication_j=outcome.energy.communication_j,
-                    idle_j=device.awake_power() * waiting_time,
-                )
-                final_outcomes[device.device_id] = DeviceRoundOutcome(
-                    device_id=outcome.device_id,
-                    target=outcome.target,
-                    compute_time_s=outcome.compute_time_s,
-                    communication_time_s=outcome.communication_time_s,
-                    energy=energy_with_wait,
-                    dropped=outcome.dropped,
-                    failed=outcome.failed,
-                )
-                energy_account.record(device.device_id, energy_with_wait)
-            else:
-                idle_j = (
-                    0.0
-                    if online is not None and not online[row]
-                    else device.idle_power() * round_time
-                )
-                energy_account.record(device.device_id, DeviceEnergy(idle_j=idle_j))
-        return RoundExecution(
-            outcomes=final_outcomes, round_time_s=round_time, energy=energy_account
-        )
-
 
 def execute_batch_replicated(
     engines: Sequence[RoundEngine],
@@ -726,14 +523,15 @@ def execute_batch_replicated(
     faults: Sequence[FaultDraw | None] | None = None,
     online_masks: Sequence[np.ndarray | None] | None = None,
 ) -> list[BatchRoundExecution]:
-    """Execute one round of N seed-replicates of the same scenario in one stacked pass.
+    """Execute one round of N seed-replicates of the same scenario in one pass.
 
     Each replicate ``i`` is described by its own engine (over its own seed's
     environment), selection decision, conditions and optional fault draw / online mask.
     Replicates whose selections have the same size are stacked into ``[replicates, K]``
     arrays and resolved by a single :meth:`RoundEngine._estimate_math` /
     :meth:`RoundEngine._resolve_round` evaluation, so the per-round Python cost is paid
-    once per selection size instead of once per replicate.
+    once per selection size instead of once per replicate.  A replicate alone in its
+    size group runs :meth:`RoundEngine.execute_batch` itself.
 
     Every per-replicate result is **bitwise identical** to calling
     ``engines[i].execute_batch(...)`` alone: the math is elementwise, reductions run per
@@ -771,104 +569,81 @@ def execute_batch_replicated(
                 "may differ between replicates)"
             )
 
-    prepared = []
-    for i in range(n):
-        engine, decision = engines[i], decisions[i]
-        if not decision.participants:
-            raise SimulationError("a round needs at least one selected participant")
-        arrays = engine._env.fleet_arrays
-        rows = arrays.rows_for(decision.participants)
-        online_mask = None if online_masks is None else online_masks[i]
-        if online_mask is not None:
-            engine._check_selection_online(rows, online_mask)
-        processors, vf_steps = engine._decision_targets(decision, rows)
-        taken = engine._participant_conditions(decision, conditions[i], rows)
-        fault = None if faults is None else faults[i]
-        fault_slowdown = None
-        upload_failure = None
-        if fault is not None:
-            if len(fault) != len(rows):
-                raise SimulationError("fault draw must align with the selection")
-            if np.any(fault.compute_slowdown > 1.0):
-                fault_slowdown = fault.compute_slowdown
-            if fault.upload_failure.any():
-                upload_failure = fault.upload_failure
-        static = _StaticInputs.gather(arrays, rows, processors, vf_steps)
-        prepared.append(
-            (rows, processors, vf_steps, static, taken, fault_slowdown, upload_failure)
-        )
-
+    faults = faults if faults is not None else [None] * n
+    online_masks = online_masks if online_masks is not None else [None] * n
     # Selections of different sizes cannot share one rectangular stack (padding would
     # change each row's median/max reductions), so replicates group by selection size.
     groups: dict[int, list[int]] = {}
-    for i, item in enumerate(prepared):
-        groups.setdefault(len(item[0]), []).append(i)
-
-    registry = telemetry.get_registry()
-    if registry.enabled:
-        registry.counter(
-            "repro_engine_replicated_rounds_total",
-            help="Replicate-rounds executed through the stacked batch path.",
-        ).inc(n)
+    for i, decision in enumerate(decisions):
+        groups.setdefault(len(decision.participants), []).append(i)
 
     results: list[BatchRoundExecution | None] = [None] * n
     for members in groups.values():
-        static = _StaticInputs.stack([prepared[i][3] for i in members])
+        if len(members) == 1:
+            # A lone replicate runs the solo path: stacking would only copy its arrays.
+            (i,) = members
+            results[i] = engines[i].execute_batch(
+                decisions[i], conditions[i], faults=faults[i], online_mask=online_masks[i]
+            )
+            continue
+        group = [
+            engines[i]._prepare(decisions[i], conditions[i], faults[i], online_masks[i])
+            for i in members
+        ]
+        static = _StaticInputs.stack([item.static for item in group])
         stacked_conditions = RoundConditionsArrays(
-            co_cpu_util=np.stack([prepared[i][4].co_cpu_util for i in members]),
-            co_mem_util=np.stack([prepared[i][4].co_mem_util for i in members]),
-            bandwidth_mbps=np.stack([prepared[i][4].bandwidth_mbps for i in members]),
+            co_cpu_util=np.stack([item.conditions.co_cpu_util for item in group]),
+            co_mem_util=np.stack([item.conditions.co_mem_util for item in group]),
+            bandwidth_mbps=np.stack([item.conditions.bandwidth_mbps for item in group]),
         )
         # Fault-free replicates ride along under identity masks: multiplying by an
         # all-1.0 slowdown and masking with an all-False ``failed`` row reproduce the
         # fault-less dataflow bit-for-bit.
         fault_slowdown = None
-        if any(prepared[i][5] is not None for i in members):
+        if any(item.fault_slowdown is not None for item in group):
             fault_slowdown = np.stack(
                 [
-                    prepared[i][5]
-                    if prepared[i][5] is not None
-                    else np.ones(len(prepared[i][0]), dtype=np.float64)
-                    for i in members
+                    item.fault_slowdown
+                    if item.fault_slowdown is not None
+                    else np.ones(len(item.rows), dtype=np.float64)
+                    for item in group
                 ]
             )
         failed = None
-        if any(prepared[i][6] is not None for i in members):
+        if any(item.failed is not None for item in group):
             failed = np.stack(
                 [
-                    prepared[i][6]
-                    if prepared[i][6] is not None
-                    else np.zeros(len(prepared[i][0]), dtype=bool)
-                    for i in members
+                    item.failed if item.failed is not None else np.zeros(len(item.rows), bool)
+                    for item in group
                 ]
             )
         estimates = first._estimate_math(static, stacked_conditions)
         resolved = first._resolve_round(estimates, static, fault_slowdown, failed)
-
-        for g, i in enumerate(members):
-            rows, processors, vf_steps = prepared[i][0], prepared[i][1], prepared[i][2]
-            engine, decision = engines[i], decisions[i]
-            arrays = engine._env.fleet_arrays
-            round_time = float(resolved.round_time[g, 0])
-            idle_j = arrays.idle_power_watt * round_time
-            idle_j[rows] = 0.0
-            online_mask = None if online_masks is None else online_masks[i]
-            if online_mask is not None:
-                idle_j = np.where(np.asarray(online_mask, dtype=bool), idle_j, 0.0)
-            results[i] = BatchRoundExecution(
-                selected_ids=np.array(decision.participants, dtype=np.int64),
-                processors=processors,
-                vf_steps=vf_steps,
-                compute_time_s=resolved.compute_time_s[g],
-                communication_time_s=resolved.communication_time_s[g],
-                compute_j=resolved.compute_j[g],
-                communication_j=resolved.communication_j[g],
-                waiting_j=resolved.waiting_j[g],
-                dropped=resolved.dropped[g],
-                round_time_s=round_time,
-                fleet_device_ids=arrays.device_ids,
-                idle_j=idle_j,
-                failed=None if failed is None else failed[g],
-                rows=rows,
+        for g, (i, item) in enumerate(zip(members, group)):
+            results[i] = engines[i]._assemble(
+                decisions[i], item, resolved.row(g), online_masks[i]
             )
+        _count_rounds(group, stacked=True)
     return [result for result in results if result is not None]
+
+
+def _count_rounds(prepared: Sequence[_PreparedRound], stacked: bool = False) -> None:
+    """Engine telemetry: executed rounds, their selection sizes, and whether stacked."""
+    registry = telemetry.get_registry()
+    if not registry.enabled:
+        return
+    registry.counter(
+        "repro_engine_batch_rounds_total", help="Vectorised engine round executions."
+    ).inc(len(prepared))
+    sizes = registry.histogram(
+        "repro_engine_selection_size",
+        help="Participants per executed round.",
+        buckets=SELECTION_SIZE_BUCKETS,
+    )
+    for item in prepared:
+        sizes.observe(float(len(item.rows)))
+    if stacked:
+        registry.counter(
+            "repro_engine_replicated_rounds_total",
+            help="Replicate-rounds executed through the stacked batch path.",
+        ).inc(len(prepared))

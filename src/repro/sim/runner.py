@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.sim.results import (
     SimulationResult,
     record_from_batch,
 )
+from repro.sim.replicated import ReplicatedSimulation
 from repro.sim.round_engine import RoundEngine
 
 
@@ -113,20 +114,6 @@ class FLSimulation:
         return self._backend
 
     @property
-    def replication_supported(self) -> bool:
-        """Whether this job can ride the replicate axis of the batch engine.
-
-        The replicated path skips the per-round feedback call and the observer hook,
-        so it only applies to non-learning policies without a round observer.  Unknown
-        policies (no ``uses_feedback`` attribute) are conservatively treated as
-        learning.
-        """
-        return (
-            not getattr(self._policy, "uses_feedback", True)
-            and self._round_observer is None
-        )
-
-    @property
     def target_accuracy(self) -> float:
         """The accuracy threshold used to declare convergence."""
         return self._tracker.target_accuracy
@@ -137,39 +124,75 @@ class FLSimulation:
         # feedback) so trace profiles line up with BENCH_roundengine.json numbers.
         tracer = telemetry.get_tracer()
         with tracer.span("control_plane", category="engine", round=round_index):
-            # Fleet dynamics first: who is reachable this round (None = static fleet).
-            online_mask = self._env.round_online_mask(round_index)
-            condition_arrays = self._env.sample_condition_arrays()
-            # Lazy view: scalar policies see the usual per-device mapping, vectorised
-            # ones read the arrays and never pay the O(N) object construction.
-            conditions = condition_arrays.lazy_mapping(self._env.device_ids)
-            ctx = RoundContext(
-                round_index=round_index,
-                environment=self._env,
-                conditions=conditions,
-                accuracy=self._backend.accuracy,
-                condition_arrays=condition_arrays,
-                online_mask=online_mask,
-            )
-            decision = self._policy.select(ctx)
-        if not decision.participants:
-            raise SimulationError(f"policy {self._policy.name!r} selected no participants")
+            ctx, decision = self._open_round(round_index)
         with tracer.span("energy_math", category="engine", round=round_index):
             # Mid-round faults are drawn after selection (the failure of a device that
             # was never picked is unobservable) from the dedicated dynamics RNG stream.
             faults = self._env.sample_faults(decision.participants, round_index)
             batch = self._engine.execute_batch(
-                decision, condition_arrays, faults=faults, online_mask=online_mask
+                decision, ctx.condition_arrays, faults=faults, online_mask=ctx.online_mask
             )
         with tracer.span("feedback", category="engine", round=round_index):
-            training = self._backend.run_round(batch.participant_ids)
-            # The outcome is offered in array form; only a policy that declines it pays
-            # for the per-device scalar RoundExecution view.
-            feedback_batch = getattr(self._policy, "feedback_batch", None)
-            if feedback_batch is None or not feedback_batch(ctx, decision, batch, training):
-                self._policy.feedback(ctx, decision, batch.to_execution(), training)
-        record = record_from_batch(round_index, decision, batch, training, online_mask)
-        registry = telemetry.get_registry()
+            return self._close_round(
+                ctx,
+                decision,
+                batch,
+                getattr(self._policy, "feedback_batch", None),
+                telemetry.get_registry(),
+                record_from_batch,
+            )
+
+    def run(self) -> SimulationResult:
+        """Run rounds until convergence (or the round budget) and return the full result.
+
+        A solo run is the one-replicate case of
+        :class:`~repro.sim.replicated.ReplicatedSimulation`, the only multi-round loop.
+        """
+        return ReplicatedSimulation([self]).run()[0]
+
+    # ------------------------------------------------------------------ round body
+    # run_round and the replicated loop share these steps, so every replicate makes
+    # a solo run's calls in a solo run's order and consumes its RNG streams alike.
+    def _open_round(self, round_index: int) -> tuple[RoundContext, SelectionDecision]:
+        """Online mask, conditions, context and selection of one round."""
+        # Fleet dynamics first: who is reachable this round (None = static fleet).
+        online_mask = self._env.round_online_mask(round_index)
+        condition_arrays = self._env.sample_condition_arrays()
+        ctx = RoundContext(
+            round_index=round_index,
+            environment=self._env,
+            # Lazy view: scalar policies see the usual per-device mapping, vectorised
+            # ones read the arrays and never pay the O(N) object construction.
+            conditions=condition_arrays.lazy_mapping(self._env.device_ids),
+            accuracy=self._backend.accuracy,
+            condition_arrays=condition_arrays,
+            online_mask=online_mask,
+        )
+        decision = self._policy.select(ctx)
+        if not decision.participants:
+            raise SimulationError(f"policy {self._policy.name!r} selected no participants")
+        return ctx, decision
+
+    def _close_round(
+        self,
+        ctx: RoundContext,
+        decision: SelectionDecision,
+        batch: BatchRoundExecution,
+        feedback_batch: Callable[..., bool] | None,
+        registry: telemetry.MetricsRegistry,
+        build_record: Callable[..., RoundRecord],
+    ) -> RoundRecord:
+        """Train, give the policy its feedback, then record, count and observe the round.
+
+        ``feedback_batch`` is the policy's bound array-form feedback (``None`` if it has
+        none) and ``build_record`` assembles the record; callers look both up once.
+        """
+        training = self._backend.run_round(batch.participant_ids)
+        # The outcome is offered in array form; only a policy that declines it pays
+        # for the per-device scalar RoundExecution view.
+        if feedback_batch is None or not feedback_batch(ctx, decision, batch, training):
+            self._policy.feedback(ctx, decision, batch.to_execution(), training)
+        record = build_record(ctx.round_index, decision, batch, training, ctx.online_mask)
         if registry.enabled:
             policy_name = self._policy.name
             registry.counter(
@@ -192,40 +215,9 @@ class FLSimulation:
             ).observe(record.global_energy_j, policy=policy_name)
         if self._round_observer is not None:
             self._round_observer(
-                round_index=round_index, batch=batch, record=record, online_mask=online_mask
+                round_index=ctx.round_index,
+                batch=batch,
+                record=record,
+                online_mask=ctx.online_mask,
             )
         return record
-
-    def run(self) -> SimulationResult:
-        """Run rounds until convergence (or the round budget) and return the full result."""
-        result = SimulationResult(
-            policy_name=self._policy.name,
-            workload_name=self._env.workload.name,
-            target_accuracy=self._tracker.target_accuracy,
-        )
-        with telemetry.get_tracer().span(
-            "simulation",
-            category="engine",
-            policy=self._policy.name,
-            workload=self._env.workload.name,
-        ):
-            for round_index in range(self._max_rounds):
-                record = self.run_round(round_index)
-                result.append(record)
-                if self._tracker.update(round_index, record.accuracy):
-                    result.converged_round = self._tracker.converged_round
-                    if self._stop_at_convergence:
-                        break
-        return result
-
-    @classmethod
-    def run_replicated(cls, simulations: Sequence["FLSimulation"]) -> list[SimulationResult]:
-        """Run same-scenario, different-seed simulations through the replicate axis.
-
-        Each replicate's result is byte-identical to running it alone via :meth:`run`;
-        the per-round physics of all replicates executes as one stacked engine call.
-        Every simulation must satisfy :attr:`replication_supported`.
-        """
-        from repro.sim.replicated import ReplicatedSimulation
-
-        return ReplicatedSimulation(simulations).run()

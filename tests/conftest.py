@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,12 @@ from repro.config import GlobalParams, SimulationConfig
 from repro.devices.fleet import build_fleet
 from repro.devices.specs import GALAXY_S10E, MI8_PRO, MOTO_X_FORCE
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
+
+# Test oracles shared across test directories (``scalar_engine.py``) import as top-level
+# modules from this directory, whichever directory's tests are collected first.
+_TESTS = str(Path(__file__).resolve().parent)
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 
 @pytest.fixture

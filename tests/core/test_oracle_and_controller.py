@@ -9,8 +9,8 @@ from repro.core.qtable import PER_DEVICE
 from repro.devices.device import RoundConditions
 from repro.exceptions import PolicyError
 from repro.sim.context import RoundContext
-from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
+from scalar_engine import ScalarRoundEngine
 
 
 def _context(environment, accuracy=0.1, conditions=None):
@@ -72,7 +72,7 @@ class TestOracleFLPolicy:
         ctx = _context(small_environment, conditions=conditions)
         policy = OracleFLPolicy(rng=np.random.default_rng(0))
         decision = policy.select(ctx)
-        engine = RoundEngine(small_environment)
+        engine = ScalarRoundEngine(small_environment)
         default_times = [
             engine.estimate_device(
                 small_environment.fleet[device_id],
@@ -95,7 +95,7 @@ class TestOracleFLPolicy:
         conditions = small_environment.sample_round_conditions()
         ctx = _context(small_environment, conditions=conditions)
         ofl = OracleFLPolicy(rng=np.random.default_rng(0)).select(ctx)
-        engine = RoundEngine(small_environment)
+        engine = ScalarRoundEngine(small_environment)
 
         def active_energy(decision, use_targets):
             total = 0.0
@@ -116,7 +116,7 @@ class TestAutoFLPolicy:
 
     def test_select_and_feedback_cycle(self, small_environment, small_backend):
         policy = AutoFLPolicy(rng=np.random.default_rng(0))
-        engine = RoundEngine(small_environment)
+        engine = ScalarRoundEngine(small_environment)
         for round_index in range(5):
             conditions = small_environment.sample_round_conditions()
             ctx = RoundContext(round_index, small_environment, conditions, small_backend.accuracy)
@@ -152,7 +152,7 @@ class TestAutoFLPolicy:
         environment = build_environment(spec)
         backend = build_surrogate_backend(environment)
         policy = AutoFLPolicy(rng=np.random.default_rng(1))
-        engine = RoundEngine(environment)
+        engine = ScalarRoundEngine(environment)
         last_selections = []
         for round_index in range(60):
             conditions = environment.sample_round_conditions()

@@ -14,8 +14,8 @@ from repro.core.selection import CLUSTER_TEMPLATES, scale_template
 from repro.devices.specs import DeviceTier
 from repro.fl.surrogate import STALL_QUALITY_THRESHOLD
 from repro.sim.context import RoundContext
-from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import ScenarioSpec, build_environment
+from scalar_engine import ScalarRoundEngine
 
 
 def _context(environment):
@@ -146,7 +146,7 @@ def test_oparticipant_matches_scalar_reference(seed, interference):
     policy = OracleParticipantPolicy(rng=np.random.default_rng(0))
     decision = policy.select(ctx)
 
-    engine = RoundEngine(environment)
+    engine = ScalarRoundEngine(environment)
     plans = {}
     for name, template in CLUSTER_TEMPLATES.items():
         participants = _realize_template_scalar(policy, ctx, template)
@@ -174,6 +174,6 @@ def test_ofl_targets_match_scalar_reference(seed):
     )
     ctx = _context(environment)
     decision = OracleFLPolicy(rng=np.random.default_rng(0)).select(ctx)
-    engine = RoundEngine(environment)
+    engine = ScalarRoundEngine(environment)
     expected = _ofl_targets_scalar(ctx, engine, decision.participants)
     assert decision.targets == expected

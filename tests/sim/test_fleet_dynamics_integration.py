@@ -10,7 +10,6 @@ from repro.dynamics import DynamicsSpec, FleetDynamics
 from repro.dynamics.faults import FaultDraw
 from repro.exceptions import SimulationError
 from repro.sim.context import SelectionDecision
-from repro.sim.round_engine import RoundEngine
 from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import (
     ScenarioSpec,
@@ -18,6 +17,7 @@ from repro.sim.scenarios import (
     build_surrogate_backend,
     get_scenario_preset,
 )
+from scalar_engine import ScalarRoundEngine
 
 
 def _run(spec: ScenarioSpec, policy: str = "fedavg-random", rounds: int = 6):
@@ -152,7 +152,8 @@ class TestDynamicTrajectories:
 class TestEngineFaults:
     @pytest.fixture
     def engine_setup(self, small_environment):
-        engine = RoundEngine(small_environment)
+        # The scalar oracle subclasses the shipped engine: one instance runs both paths.
+        engine = ScalarRoundEngine(small_environment)
         condition_arrays = small_environment.sample_condition_arrays()
         conditions = condition_arrays.to_mapping(small_environment.fleet.device_ids)
         participants = small_environment.fleet.device_ids[:8]

@@ -1,15 +1,17 @@
 """Pin the replicate axis to the solo runner: byte identity, grouping, routing.
 
-The replicated driver must be a pure wall-clock optimisation: every seed's
+The replicated loop must be a pure wall-clock optimisation: every seed's
 ``SimulationResult`` serialises to the exact bytes the solo run of that seed produces,
-across static scenarios and ones with full fleet dynamics (availability, churn,
-dropouts, slow faults).
+for every shipped policy (learning ones included) across static scenarios and ones with
+full fleet dynamics (availability, churn, dropouts, slow faults).
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from repro.core.selection import RandomPolicy, StaticClusterPolicy
+from repro.core.selection import RandomPolicy, StaticClusterPolicy, make_policy
 from repro.exceptions import SimulationError
 from repro.experiments.runner import POLICY_SEED_OFFSET, run_experiment
 from repro.experiments.spec import ExperimentSpec
@@ -18,6 +20,7 @@ from repro.sim.replicated import ReplicatedSimulation
 from repro.sim.round_engine import RoundEngine, execute_batch_replicated
 from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
+from repro.validation.invariants import InvariantAuditor
 
 STATIC_SPEC = dict(workload="cnn-mnist", num_devices=60, max_rounds=6)
 DYNAMIC_SPEC = dict(
@@ -34,23 +37,43 @@ DYNAMIC_SPEC = dict(
 )
 
 
-def _simulation(spec_kwargs, seed, policy_cls=RandomPolicy, stop_at_convergence=False):
+#: Every shipped policy the replicate axis serves, learning ones included.
+SHIPPED_POLICIES = ("fedavg-random", "autofl", "autofl-fast", "ofl")
+
+
+def _simulation(
+    spec_kwargs,
+    seed,
+    policy_cls=RandomPolicy,
+    stop_at_convergence=False,
+    round_observer=None,
+):
     spec = ScenarioSpec(seed=seed, **spec_kwargs)
     environment = build_environment(spec)
     backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
     policy = policy_cls(rng=np.random.default_rng(seed + POLICY_SEED_OFFSET))
     return FLSimulation(
-        environment, policy, backend, stop_at_convergence=stop_at_convergence
+        environment,
+        policy,
+        backend,
+        stop_at_convergence=stop_at_convergence,
+        round_observer=round_observer,
     )
 
 
+def _named(policy_name):
+    return lambda rng: make_policy(policy_name, rng=rng)
+
+
+@pytest.mark.parametrize("policy_name", SHIPPED_POLICIES)
 @pytest.mark.parametrize("spec_kwargs", [STATIC_SPEC, DYNAMIC_SPEC], ids=["static", "dynamics"])
-def test_replicated_results_are_byte_identical_to_solo(spec_kwargs):
+def test_replicated_results_are_byte_identical_to_solo(spec_kwargs, policy_name):
     seeds = [3, 4, 5, 6]
-    solo = [_simulation(spec_kwargs, seed).run().to_json() for seed in seeds]
-    replicated = FLSimulation.run_replicated(
-        [_simulation(spec_kwargs, seed) for seed in seeds]
-    )
+    policy_cls = _named(policy_name)
+    solo = [_simulation(spec_kwargs, seed, policy_cls).run().to_json() for seed in seeds]
+    replicated = ReplicatedSimulation(
+        [_simulation(spec_kwargs, seed, policy_cls) for seed in seeds]
+    ).run()
     assert [result.to_json() for result in replicated] == solo
 
 
@@ -63,23 +86,39 @@ def test_replicated_respects_convergence_stopping():
         _simulation(spec_kwargs, seed, stop_at_convergence=True).run().to_json()
         for seed in seeds
     ]
-    replicated = FLSimulation.run_replicated(
+    replicated = ReplicatedSimulation(
         [_simulation(spec_kwargs, seed, stop_at_convergence=True) for seed in seeds]
-    )
+    ).run()
     assert [result.to_json() for result in replicated] == solo
 
 
-def test_replicated_rejects_learning_policies():
-    from repro.core.controller import AutoFLPolicy
+class _RoundLog:
+    """A round observer that remembers the rounds it saw."""
 
-    spec = ScenarioSpec(seed=0, **STATIC_SPEC)
-    environment = build_environment(spec)
-    backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
-    policy = AutoFLPolicy(rng=np.random.default_rng(1))
-    simulation = FLSimulation(environment, policy, backend)
-    assert not simulation.replication_supported
-    with pytest.raises(SimulationError, match="serially"):
-        ReplicatedSimulation([simulation])
+    def __init__(self):
+        self.rounds = []
+
+    def __call__(self, round_index, batch, record, online_mask):
+        assert record.round_index == round_index
+        self.rounds.append(round_index)
+
+
+def test_replicated_loop_feeds_back_and_observes_every_replicate():
+    # A learning policy learns per replicate, and each replicate's observer sees every
+    # one of its rounds, even when replicates stop at different rounds.
+    spec_kwargs = dict(DYNAMIC_SPEC, max_rounds=8)
+    logs = [_RoundLog() for _ in range(3)]
+    simulations = [
+        _simulation(
+            spec_kwargs, seed, _named("autofl"), stop_at_convergence=True, round_observer=log
+        )
+        for seed, log in zip((0, 1, 2), logs)
+    ]
+    results = ReplicatedSimulation(simulations).run()
+    for simulation, log, result in zip(simulations, logs, results):
+        assert result.num_rounds >= 1
+        assert log.rounds == list(range(result.num_rounds))
+        assert len(simulation.policy.reward_history()) == result.num_rounds
 
 
 def test_replicated_rejects_empty():
@@ -127,12 +166,38 @@ def test_run_experiment_routes_seed_replicas_through_replicate_axis():
     assert list(replicated.summaries) == serial
 
 
-def test_run_experiment_falls_back_to_serial_for_learning_policies():
+def test_validated_learning_run_experiment_rides_the_replicate_axis(monkeypatch):
+    runs = []
+    original_run = ReplicatedSimulation.run
+
+    def counting_run(self):
+        runs.append(self)
+        return original_run(self)
+
+    rounds_seen = defaultdict(list)
+    original_audit = InvariantAuditor.__call__
+
+    def logging_audit(self, round_index, batch, record, online_mask):
+        rounds_seen[id(self)].append(round_index)
+        return original_audit(self, round_index, batch, record, online_mask)
+
+    monkeypatch.setattr(ReplicatedSimulation, "run", counting_run)
+    monkeypatch.setattr(InvariantAuditor, "__call__", logging_audit)
     scenario = ScenarioSpec(**STATIC_SPEC)
     result = run_experiment(
-        ExperimentSpec(scenario=scenario, policy="autofl", n_seeds=2)
+        ExperimentSpec(
+            scenario=scenario, policy="autofl", n_seeds=3, stop_at_convergence=False
+        ),
+        validate=True,
     )
-    assert len(result.summaries) == 2
+    assert len(runs) == 1
+    rounds = list(range(STATIC_SPEC["max_rounds"]))
+    assert sorted(rounds_seen.values()) == [rounds] * 3
+    monkeypatch.undo()
+    solo = [
+        _simulation(STATIC_SPEC, seed, _named("autofl")).run().summary() for seed in range(3)
+    ]
+    assert list(result.summaries) == solo
 
 
 def test_static_cluster_policy_rides_the_replicate_axis():
@@ -143,14 +208,14 @@ def test_static_cluster_policy_rides_the_replicate_axis():
         .to_json()
         for seed in seeds
     ]
-    replicated = FLSimulation.run_replicated(
+    replicated = ReplicatedSimulation(
         [
             _simulation(
                 STATIC_SPEC, seed, policy_cls=lambda rng: StaticClusterPolicy("C3", rng=rng)
             )
             for seed in seeds
         ]
-    )
+    ).run()
     assert [result.to_json() for result in replicated] == solo
 
 

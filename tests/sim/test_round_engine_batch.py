@@ -1,7 +1,7 @@
 """Equivalence and regression tests for the vectorised round-engine path.
 
-The batched engine must agree with the scalar reference implementation
-(`estimate_device` / `execute`) within 1e-9 across randomised fleets, execution targets
+The batched engine must agree with the scalar oracle (``scalar_engine.py``:
+`estimate_device` / `execute`) within 1e-9 across randomised fleets, execution targets
 and runtime conditions — these property-style tests are what lets every future perf
 change to the array path be validated mechanically.
 """
@@ -15,8 +15,9 @@ from repro.devices.fleet_arrays import PROCESSOR_CODES, RoundConditionsArrays
 from repro.exceptions import SimulationError
 from repro.sim.context import SelectionDecision
 from repro.sim.results import DeviceRoundOutcome
-from repro.sim.round_engine import RoundEngine, straggler_deadline
+from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import ScenarioSpec, build_environment
+from scalar_engine import ScalarRoundEngine, straggler_deadline
 
 REL_TOL = 1e-9
 
@@ -86,7 +87,7 @@ class TestEstimateBatchEquivalence:
     def test_matches_scalar_reference(self, trial):
         rng = np.random.default_rng(100 + trial)
         environment = _random_environment(rng)
-        engine = RoundEngine(environment)
+        engine = ScalarRoundEngine(environment)
         decision = _random_decision(environment, rng)
         conditions = environment.sample_round_conditions()
         arrays = environment.fleet_arrays
@@ -140,7 +141,7 @@ class TestExecuteBatchEquivalence:
     def test_matches_scalar_execute(self, trial):
         rng = np.random.default_rng(2_000 + trial)
         environment = _random_environment(rng)
-        engine = RoundEngine(environment)
+        engine = ScalarRoundEngine(environment)
         decision = _random_decision(environment, rng)
         conditions = environment.sample_round_conditions()
         scalar = engine.execute(decision, conditions)
@@ -164,7 +165,7 @@ class TestExecuteBatchEquivalence:
         assert from_arrays.global_energy_j == from_mapping.global_energy_j
 
     def test_straggler_truncation_matches(self, small_environment):
-        engine = RoundEngine(small_environment)
+        engine = ScalarRoundEngine(small_environment)
         device_ids = small_environment.fleet.device_ids
         conditions = {
             device_id: RoundConditions(bandwidth_mbps=90.0) for device_id in device_ids
@@ -181,7 +182,7 @@ class TestExecuteBatchEquivalence:
 
 class TestMissingConditions:
     def test_scalar_execute_raises_with_device_id(self, small_environment):
-        engine = RoundEngine(small_environment)
+        engine = ScalarRoundEngine(small_environment)
         participants = small_environment.fleet.device_ids[:4]
         conditions = {
             device_id: RoundConditions() for device_id in participants[:-1]
@@ -199,7 +200,7 @@ class TestMissingConditions:
             engine.execute_batch(SelectionDecision(participants=participants), conditions)
 
 
-class _ZeroTimeEngine(RoundEngine):
+class _ZeroTimeEngine(ScalarRoundEngine):
     """Engine whose every estimate is instantaneous — the degenerate deadline case."""
 
     def estimate_device(self, device, target, conditions):

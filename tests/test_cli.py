@@ -159,7 +159,8 @@ class TestBench:
             capsys,
         )
         assert code == 0
-        assert "speedup" in out
+        assert "batch r/s" in out
+        assert "scalar" not in out  # The scalar engine is a test oracle, not benched.
         assert output.exists()
         assert "registered 1 measurement(s)" in out
 
@@ -732,6 +733,13 @@ class TestAnalyticsCLI:
         assert code == 0
         (row,) = json.loads(out)
         assert row["git_sha"] == "abc1234"
+        assert row["batch_rounds_per_s:mean"] == 50.0
+        # Older records' scalar-engine columns stay queryable by name.
+        code, out, _err = _run(
+            ["query", "--bench", "--metrics", "speedup", "--format", "json", *wh], capsys
+        )
+        assert code == 0
+        (row,) = json.loads(out)
         assert row["speedup:mean"] == 10.0
 
 
