@@ -987,8 +987,7 @@ def _parse_goldens(raw: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
     if not names:
         raise ConfigurationError(f"no golden names in {raw!r}")
-    # Resolve each name (with did-you-mean errors) before any recording/checking runs:
-    # a golden of the table, or a scenario preset recorded in a preset golden's shape.
+    # Resolve each name (a golden, else a preset) before any recording/checking runs.
     for name in names:
         if name not in GOLDENS:
             get_scenario_preset(name)
@@ -1661,10 +1660,7 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--presets",
         default=default_goldens,
-        help=(
-            "comma-separated golden names or scenario presets "
-            f"(default: every committed golden, {default_goldens})"
-        ),
+        help="comma-separated golden names or scenario presets (default: every golden)",
     )
     record_parser.add_argument(
         "--dir", default=str(DEFAULT_GOLDEN_DIR), help="golden store directory"
@@ -1673,10 +1669,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rounds",
         type=int,
         default=None,
-        help=(
-            "rounds recorded per golden (default: each golden's own; "
-            f"{GOLDEN_MAX_ROUNDS} for a scenario preset)"
-        ),
+        help=f"rounds per golden (default: its own; {GOLDEN_MAX_ROUNDS} for a preset)",
     )
     record_parser.set_defaults(func=_cmd_validate_record)
 
@@ -1687,10 +1680,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--presets",
         default=default_goldens,
-        help=(
-            "comma-separated golden names "
-            f"(default: every committed golden, {default_goldens})"
-        ),
+        help="comma-separated golden names (default: every committed golden)",
     )
     check_parser.add_argument(
         "--dir", default=str(DEFAULT_GOLDEN_DIR), help="golden store directory"

@@ -19,9 +19,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.fl.metrics import relative_improvement
-from repro.fl.server import RoundTrainingResult
 from repro.sim.context import RoundContext, SelectionDecision
-from repro.sim.results import BatchRoundExecution, RoundExecution, SimulationResult
+from repro.sim.results import SimulationResult
 from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
 
@@ -153,11 +152,8 @@ def _tier_composition(environment, selected_ids: list[int]) -> dict[str, float]:
 
 
 class _ShadowedPolicy:
-    """Runs ``policy`` while ``reference`` decides on the same round context.
-
-    The reference only observes — the executed decision is always the policy's, and
-    only the policy receives feedback — and both decisions are kept for scoring.
-    """
+    """Runs ``policy`` while ``reference`` decides on the same round context; only the
+    policy's decision executes and gets feedback, and both decisions are kept."""
 
     def __init__(self, policy: Policy, reference: Policy) -> None:
         self.name = policy.name
@@ -170,23 +166,11 @@ class _ShadowedPolicy:
         self.decisions.append((decision, self._reference.select(ctx)))
         return decision
 
-    def feedback_batch(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
-        batch: BatchRoundExecution,
-        training: RoundTrainingResult,
-    ) -> bool:
-        return self._policy.feedback_batch(ctx, decision, batch, training)
+    def feedback_batch(self, *outcome) -> bool:
+        return self._policy.feedback_batch(*outcome)
 
-    def feedback(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
-        execution: RoundExecution,
-        training: RoundTrainingResult,
-    ) -> None:
-        self._policy.feedback(ctx, decision, execution, training)
+    def feedback(self, *outcome) -> None:
+        self._policy.feedback(*outcome)
 
 
 def run_with_reference(

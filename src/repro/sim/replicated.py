@@ -1,17 +1,12 @@
-"""The round loop: R >= 1 seed replicates of one scenario through one engine call per round.
+"""The round loop: R >= 1 seed replicates of one scenario, one engine call per round.
 
-Seed replication re-runs the *same* scenario under different RNG seeds to average out
-run-to-run noise.  The physics of the replicates is embarrassingly parallel, so this
-driver advances all replicates round by round and executes each round's device physics
-as one stacked ``[replicates, participants]`` engine call
-(:func:`~repro.sim.round_engine.execute_batch_replicated`).  It is the only multi-round
-loop: a solo :meth:`~repro.sim.runner.FLSimulation.run` is its one-replicate case.
-
-Each replicate runs the solo runner's own round steps in the solo call order — online
-mask, condition sampling, selection, fault draw, then training, policy feedback, record,
-telemetry and round observer — on its own RNG streams, so learning policies learn per
-replicate and every replicate's :class:`SimulationResult` is byte-identical
-(``to_json``) to running that seed alone.
+It is the only multi-round loop; a solo :meth:`~repro.sim.runner.FLSimulation.run` is
+its one-replicate case.  Each round's device physics runs as one stacked
+``[replicates, participants]`` call
+(:func:`~repro.sim.round_engine.execute_batch_replicated`), while every replicate runs
+the solo runner's own round steps in the solo call order on its own RNG streams.  So
+learning policies learn per replicate, and every replicate's :class:`SimulationResult`
+is byte-identical (``to_json``) to running that seed alone.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.sim.results import RoundRecord, SimulationResult, record_from_batch
+from repro.sim.results import SimulationResult, record_from_batch
 from repro.sim.round_engine import execute_batch_replicated
 
 if TYPE_CHECKING:  # pragma: no cover - import only used for typing
@@ -53,58 +48,48 @@ class ReplicatedSimulation:
         ]
         # Looked up once per run rather than per replicate-round.
         feedbacks = [getattr(sim.policy, "feedback_batch", None) for sim in sims]
+        tracer = telemetry.get_tracer()
         active = list(range(len(sims)))
         round_index = 0
-        with telemetry.get_tracer().span(
+        with tracer.span(
             "simulation",
             category="engine",
             policy=sims[0].policy.name,
             workload=sims[0].environment.workload.name,
         ):
             while active:
-                records = self._run_round(round_index, active, feedbacks)
+                replicas = [sims[i] for i in active]
+                # One span per phase and round for all replicates, named like the solo
+                # runner's, so a one-replicate trace reads exactly like run_round.
+                with tracer.span("control_plane", category="engine", round=round_index):
+                    opened = [sim._open_round(round_index) for sim in replicas]
+                with tracer.span("energy_math", category="engine", round=round_index):
+                    # Faults are drawn after selection, as in run_round.
+                    faults = [
+                        sim.environment.sample_faults(decision.participants, round_index)
+                        for sim, (_, decision) in zip(replicas, opened)
+                    ]
+                    batches = execute_batch_replicated(
+                        [sim._engine for sim in replicas],
+                        [decision for _, decision in opened],
+                        [ctx.condition_arrays for ctx, _ in opened],
+                        faults=faults,
+                        online_masks=[ctx.online_mask for ctx, _ in opened],
+                    )
+                registry = telemetry.get_registry()
                 still_active = []
-                for i, record in zip(active, records):
-                    sim = sims[i]
-                    results[i].append(record)
-                    if sim._tracker.update(round_index, record.accuracy):
-                        results[i].converged_round = sim._tracker.converged_round
-                        if sim._stop_at_convergence:
-                            continue
-                    if round_index + 1 < sim._max_rounds:
-                        still_active.append(i)
+                with tracer.span("feedback", category="engine", round=round_index):
+                    for i, sim, (ctx, decision), batch in zip(active, replicas, opened, batches):
+                        record = sim._close_round(
+                            ctx, decision, batch, feedbacks[i], registry, _record_from_batch
+                        )
+                        results[i].append(record)
+                        if sim._tracker.update(round_index, record.accuracy):
+                            results[i].converged_round = sim._tracker.converged_round
+                            if sim._stop_at_convergence:
+                                continue
+                        if round_index + 1 < sim._max_rounds:
+                            still_active.append(i)
                 active = still_active
                 round_index += 1
         return results
-
-    def _run_round(
-        self, round_index: int, active: list[int], feedbacks: list
-    ) -> list[RoundRecord]:
-        """One round of the active replicates, each phase opened once for all of them.
-
-        The phase spans are named like the solo runner's, so a one-replicate trace
-        reads exactly like :meth:`~repro.sim.runner.FLSimulation.run_round`.
-        """
-        sims = [self._sims[i] for i in active]
-        tracer = telemetry.get_tracer()
-        with tracer.span("control_plane", category="engine", round=round_index):
-            opened = [sim._open_round(round_index) for sim in sims]
-        with tracer.span("energy_math", category="engine", round=round_index):
-            # Faults are drawn after selection, as in run_round.
-            faults = [
-                sim.environment.sample_faults(decision.participants, round_index)
-                for sim, (_, decision) in zip(sims, opened)
-            ]
-            batches = execute_batch_replicated(
-                [sim._engine for sim in sims],
-                [decision for _, decision in opened],
-                [ctx.condition_arrays for ctx, _ in opened],
-                faults=faults,
-                online_masks=[ctx.online_mask for ctx, _ in opened],
-            )
-        registry = telemetry.get_registry()
-        with tracer.span("feedback", category="engine", round=round_index):
-            return [
-                sim._close_round(ctx, decision, batch, feedbacks[i], registry, _record_from_batch)
-                for i, sim, (ctx, decision), batch in zip(active, sims, opened, batches)
-            ]

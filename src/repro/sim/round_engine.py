@@ -139,8 +139,8 @@ class _ResolvedRound(NamedTuple):
 class _PreparedRound(NamedTuple):
     """One replicate's checked selection, gathered for the estimate math.
 
-    ``fault_slowdown`` and ``failed`` are ``None`` when the round draws no slow fault
-    or no upload failure, which keeps the fault-free dataflow bit-exact.
+    ``fault_slowdown`` / ``failed`` are ``None`` for a round without slow faults /
+    upload failures, which keeps the fault-free dataflow bit-exact.
     """
 
     rows: np.ndarray
@@ -358,7 +358,6 @@ class RoundEngine:
         resolved = self._resolve_round(
             estimates, prepared.static, prepared.fault_slowdown, prepared.failed
         )
-        _count_rounds([prepared])
         return self._assemble(decision, prepared, resolved, online_mask)
 
     def _prepare(
@@ -411,6 +410,16 @@ class RoundEngine:
             # Offline devices are unreachable (or churned away) — they are not idling
             # on behalf of this training job, so the global account excludes them.
             idle_j = np.where(np.asarray(online_mask, dtype=bool), idle_j, 0.0)
+        registry = telemetry.get_registry()
+        if registry.enabled:
+            registry.counter(
+                "repro_engine_batch_rounds_total", help="Vectorised engine round executions."
+            ).inc()
+            registry.histogram(
+                "repro_engine_selection_size",
+                help="Participants per executed round.",
+                buckets=SELECTION_SIZE_BUCKETS,
+            ).observe(float(len(prepared.rows)))
         return BatchRoundExecution(
             selected_ids=np.array(decision.participants, dtype=np.int64),
             processors=prepared.processors,
@@ -544,11 +553,9 @@ def execute_batch_replicated(
     undefined.
     """
     n = len(engines)
-    if not (len(decisions) == len(conditions) == n):
-        raise SimulationError("replicated execution requires aligned per-replicate inputs")
-    if faults is not None and len(faults) != n:
-        raise SimulationError("replicated execution requires aligned per-replicate inputs")
-    if online_masks is not None and len(online_masks) != n:
+    faults = faults if faults is not None else [None] * n
+    online_masks = online_masks if online_masks is not None else [None] * n
+    if not (len(decisions) == len(conditions) == len(faults) == len(online_masks) == n):
         raise SimulationError("replicated execution requires aligned per-replicate inputs")
     if n == 0:
         return []
@@ -569,8 +576,6 @@ def execute_batch_replicated(
                 "may differ between replicates)"
             )
 
-    faults = faults if faults is not None else [None] * n
-    online_masks = online_masks if online_masks is not None else [None] * n
     # Selections of different sizes cannot share one rectangular stack (padding would
     # change each row's median/max reductions), so replicates group by selection size.
     groups: dict[int, list[int]] = {}
@@ -599,51 +604,28 @@ def execute_batch_replicated(
         # Fault-free replicates ride along under identity masks: multiplying by an
         # all-1.0 slowdown and masking with an all-False ``failed`` row reproduce the
         # fault-less dataflow bit-for-bit.
-        fault_slowdown = None
-        if any(item.fault_slowdown is not None for item in group):
-            fault_slowdown = np.stack(
-                [
-                    item.fault_slowdown
-                    if item.fault_slowdown is not None
-                    else np.ones(len(item.rows), dtype=np.float64)
-                    for item in group
-                ]
-            )
-        failed = None
-        if any(item.failed is not None for item in group):
-            failed = np.stack(
-                [
-                    item.failed if item.failed is not None else np.zeros(len(item.rows), bool)
-                    for item in group
-                ]
-            )
+        fault_slowdown = _stack_masks([item.fault_slowdown for item in group], 1.0)
+        failed = _stack_masks([item.failed for item in group], False)
         estimates = first._estimate_math(static, stacked_conditions)
         resolved = first._resolve_round(estimates, static, fault_slowdown, failed)
         for g, (i, item) in enumerate(zip(members, group)):
             results[i] = engines[i]._assemble(
                 decisions[i], item, resolved.row(g), online_masks[i]
             )
-        _count_rounds(group, stacked=True)
+        registry = telemetry.get_registry()
+        if registry.enabled:
+            registry.counter(
+                "repro_engine_replicated_rounds_total",
+                help="Replicate-rounds executed through the stacked batch path.",
+            ).inc(len(group))
     return [result for result in results if result is not None]
 
 
-def _count_rounds(prepared: Sequence[_PreparedRound], stacked: bool = False) -> None:
-    """Engine telemetry: executed rounds, their selection sizes, and whether stacked."""
-    registry = telemetry.get_registry()
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_engine_batch_rounds_total", help="Vectorised engine round executions."
-    ).inc(len(prepared))
-    sizes = registry.histogram(
-        "repro_engine_selection_size",
-        help="Participants per executed round.",
-        buckets=SELECTION_SIZE_BUCKETS,
-    )
-    for item in prepared:
-        sizes.observe(float(len(item.rows)))
-    if stacked:
-        registry.counter(
-            "repro_engine_replicated_rounds_total",
-            help="Replicate-rounds executed through the stacked batch path.",
-        ).inc(len(prepared))
+def _stack_masks(masks: list[np.ndarray | None], identity: float | bool) -> np.ndarray | None:
+    """Stack per-replicate masks, an absent one as all ``identity`` (None if all absent)."""
+    present = [mask for mask in masks if mask is not None]
+    if not present:
+        return None
+    fill = np.full_like(present[0], identity)
+    return np.stack([fill if mask is None else mask for mask in masks])
+

@@ -133,13 +133,10 @@ class FLSimulation:
                 decision, ctx.condition_arrays, faults=faults, online_mask=ctx.online_mask
             )
         with tracer.span("feedback", category="engine", round=round_index):
+            feedback_batch = getattr(self._policy, "feedback_batch", None)
+            registry = telemetry.get_registry()
             return self._close_round(
-                ctx,
-                decision,
-                batch,
-                getattr(self._policy, "feedback_batch", None),
-                telemetry.get_registry(),
-                record_from_batch,
+                ctx, decision, batch, feedback_batch, registry, record_from_batch
             )
 
     def run(self) -> SimulationResult:
@@ -215,9 +212,6 @@ class FLSimulation:
             ).observe(record.global_energy_j, policy=policy_name)
         if self._round_observer is not None:
             self._round_observer(
-                round_index=ctx.round_index,
-                batch=batch,
-                record=record,
-                online_mask=ctx.online_mask,
+                round_index=ctx.round_index, batch=batch, record=record, online_mask=ctx.online_mask
             )
         return record

@@ -95,14 +95,11 @@ def golden_spec(name: str, max_rounds: int | None = None) -> ExperimentSpec:
     ``max_rounds`` overrides the golden's own round count.
     """
     case = GOLDENS.get(name) or GoldenCase(name)
-    scenario = replace(
-        get_scenario_preset(case.preset),
-        max_rounds=case.max_rounds if max_rounds is None else max_rounds,
-    )
+    overrides = {"max_rounds": case.max_rounds if max_rounds is None else max_rounds}
     if case.data_distribution is not None:
-        scenario = replace(scenario, data_distribution=case.data_distribution)
+        overrides["data_distribution"] = case.data_distribution
     return ExperimentSpec(
-        scenario=scenario,
+        scenario=replace(get_scenario_preset(case.preset), **overrides),
         policy=case.policy,
         n_seeds=1,
         stop_at_convergence=False,

@@ -1,14 +1,7 @@
-"""The scalar round engine: the per-device reference implementation (test oracle).
+"""The scalar round engine: the per-device reference implementation the tests compare
+the shipped array engine against (within 1e-9).
 
-:class:`ScalarRoundEngine` walks :class:`~repro.devices.device.MobileDevice` objects one
-at a time through the scalar device models, and :meth:`ScalarRoundEngine.execute` builds
-a per-device :class:`~repro.sim.results.RoundExecution`.  The shipped engine
-(:meth:`~repro.sim.round_engine.RoundEngine.execute_batch`) evaluates the same physics as
-array expressions; the equivalence tests pin it to this oracle within 1e-9.
-
-It subclasses :class:`~repro.sim.round_engine.RoundEngine`, so one instance offers both
-paths on the same environment.  Tests import it as ``from scalar_engine import ...``
-(``tests/conftest.py`` puts this directory on ``sys.path``).
+:class:`ScalarRoundEngine` subclasses the shipped engine, so one instance runs both paths.
 """
 
 from __future__ import annotations
