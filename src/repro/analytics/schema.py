@@ -119,8 +119,7 @@ BENCH_COLUMNS: tuple[Column, ...] = _columns(
     ("interference", "str"),
     ("network", "str"),
     ("seed", "num"),
-    # Round-engine suite measurements (one row per fleet size).  The scalar engine
-    # column (scalar_rounds_per_s and its speedup) is only read from older records.
+    # Round-engine suite measurements (one row per fleet size).
     ("num_devices", "num"),
     ("num_participants", "num"),
     ("scalar_rounds_per_s", "num"),

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.sim.results import SimulationResult, record_from_batch
+from repro.sim.results import RoundRecord, SimulationResult, record_from_batch
 from repro.sim.round_engine import execute_batch_replicated
 
 if TYPE_CHECKING:  # pragma: no cover - import only used for typing
@@ -48,48 +48,55 @@ class ReplicatedSimulation:
         ]
         # Looked up once per run rather than per replicate-round.
         feedbacks = [getattr(sim.policy, "feedback_batch", None) for sim in sims]
-        tracer = telemetry.get_tracer()
         active = list(range(len(sims)))
         round_index = 0
-        with tracer.span(
+        with telemetry.get_tracer().span(
             "simulation",
             category="engine",
             policy=sims[0].policy.name,
             workload=sims[0].environment.workload.name,
         ):
             while active:
-                replicas = [sims[i] for i in active]
-                # One span per phase and round for all replicates, named like the solo
-                # runner's, so a one-replicate trace reads exactly like run_round.
-                with tracer.span("control_plane", category="engine", round=round_index):
-                    opened = [sim._open_round(round_index) for sim in replicas]
-                with tracer.span("energy_math", category="engine", round=round_index):
-                    # Faults are drawn after selection, as in run_round.
-                    faults = [
-                        sim.environment.sample_faults(decision.participants, round_index)
-                        for sim, (_, decision) in zip(replicas, opened)
-                    ]
-                    batches = execute_batch_replicated(
-                        [sim._engine for sim in replicas],
-                        [decision for _, decision in opened],
-                        [ctx.condition_arrays for ctx, _ in opened],
-                        faults=faults,
-                        online_masks=[ctx.online_mask for ctx, _ in opened],
-                    )
-                registry = telemetry.get_registry()
+                records = self._run_round(round_index, active, feedbacks)
                 still_active = []
-                with tracer.span("feedback", category="engine", round=round_index):
-                    for i, sim, (ctx, decision), batch in zip(active, replicas, opened, batches):
-                        record = sim._close_round(
-                            ctx, decision, batch, feedbacks[i], registry, _record_from_batch
-                        )
-                        results[i].append(record)
-                        if sim._tracker.update(round_index, record.accuracy):
-                            results[i].converged_round = sim._tracker.converged_round
-                            if sim._stop_at_convergence:
-                                continue
-                        if round_index + 1 < sim._max_rounds:
-                            still_active.append(i)
+                for i, record in zip(active, records):
+                    sim = sims[i]
+                    results[i].append(record)
+                    if sim._tracker.update(round_index, record.accuracy):
+                        results[i].converged_round = sim._tracker.converged_round
+                        if sim._stop_at_convergence:
+                            continue
+                    if round_index + 1 < sim._max_rounds:
+                        still_active.append(i)
                 active = still_active
                 round_index += 1
         return results
+
+    def _run_round(self, round_index: int, active: list[int], feedbacks: list) -> list[RoundRecord]:
+        """One round of the active replicates; its arrays are freed when it returns.
+
+        Each phase span opens once for all replicates, named like ``run_round``'s.
+        """
+        sims = [self._sims[i] for i in active]
+        tracer = telemetry.get_tracer()
+        with tracer.span("control_plane", category="engine", round=round_index):
+            opened = [sim._open_round(round_index) for sim in sims]
+        with tracer.span("energy_math", category="engine", round=round_index):
+            # Faults are drawn after selection, as in run_round.
+            faults = [
+                sim.environment.sample_faults(decision.participants, round_index)
+                for sim, (_, decision) in zip(sims, opened)
+            ]
+            batches = execute_batch_replicated(
+                [sim._engine for sim in sims],
+                [decision for _, decision in opened],
+                [ctx.condition_arrays for ctx, _ in opened],
+                faults=faults,
+                online_masks=[ctx.online_mask for ctx, _ in opened],
+            )
+        registry = telemetry.get_registry()
+        with tracer.span("feedback", category="engine", round=round_index):
+            return [
+                sim._close_round(ctx, decision, batch, feedbacks[i], registry, _record_from_batch)
+                for i, sim, (ctx, decision), batch in zip(active, sims, opened, batches)
+            ]

@@ -137,11 +137,8 @@ class _ResolvedRound(NamedTuple):
 
 
 class _PreparedRound(NamedTuple):
-    """One replicate's checked selection, gathered for the estimate math.
-
-    ``fault_slowdown`` / ``failed`` are ``None`` for a round without slow faults /
-    upload failures, which keeps the fault-free dataflow bit-exact.
-    """
+    """One replicate's checked selection, gathered for the estimate math (``None`` masks
+    for a round without slow faults / upload failures keep that dataflow bit-exact)."""
 
     rows: np.ndarray
     processors: np.ndarray

@@ -134,9 +134,8 @@ class FLSimulation:
             )
         with tracer.span("feedback", category="engine", round=round_index):
             feedback_batch = getattr(self._policy, "feedback_batch", None)
-            registry = telemetry.get_registry()
             return self._close_round(
-                ctx, decision, batch, feedback_batch, registry, record_from_batch
+                ctx, decision, batch, feedback_batch, telemetry.get_registry(), record_from_batch
             )
 
     def run(self) -> SimulationResult:

@@ -105,20 +105,20 @@ class _RoundLog:
 
 def test_replicated_loop_feeds_back_and_observes_every_replicate():
     # A learning policy learns per replicate, and each replicate's observer sees every
-    # one of its rounds, even when replicates stop at different rounds.
-    spec_kwargs = dict(DYNAMIC_SPEC, max_rounds=8)
-    logs = [_RoundLog() for _ in range(3)]
+    # one of its rounds, also when replicates leave the loop at different rounds.
+    budgets = (4, 6, 8)
+    logs = [_RoundLog() for _ in budgets]
     simulations = [
         _simulation(
-            spec_kwargs, seed, _named("autofl"), stop_at_convergence=True, round_observer=log
+            dict(DYNAMIC_SPEC, max_rounds=rounds), seed, _named("autofl"), round_observer=log
         )
-        for seed, log in zip((0, 1, 2), logs)
+        for seed, rounds, log in zip((0, 1, 2), budgets, logs)
     ]
     results = ReplicatedSimulation(simulations).run()
-    for simulation, log, result in zip(simulations, logs, results):
-        assert result.num_rounds >= 1
-        assert log.rounds == list(range(result.num_rounds))
-        assert len(simulation.policy.reward_history()) == result.num_rounds
+    for simulation, rounds, log, result in zip(simulations, budgets, logs, results):
+        assert result.num_rounds == rounds
+        assert log.rounds == list(range(rounds))
+        assert len(simulation.policy.reward_history()) == rounds
 
 
 def test_replicated_rejects_empty():
