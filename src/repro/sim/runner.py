@@ -151,18 +151,17 @@ class FLSimulation:
     # a solo run's calls in a solo run's order and consumes its RNG streams alike.
     def _open_round(self, round_index: int) -> tuple[RoundContext, SelectionDecision]:
         """Online mask, conditions, context and selection of one round."""
+        env = self._env
         # Fleet dynamics first: who is reachable this round (None = static fleet).
-        online_mask = self._env.round_online_mask(round_index)
-        condition_arrays = self._env.sample_condition_arrays()
+        online_mask = env.round_online_mask(round_index)
+        condition_arrays = env.sample_condition_arrays()
+        # Lazy view: scalar policies see the usual per-device mapping, vectorised ones
+        # read the arrays and never pay the O(N) object construction.
+        conditions = condition_arrays.lazy_mapping(env.device_ids)
+        # Positional arguments: matching six keywords costs more than building the
+        # frozen context itself, once per replicate and round.
         ctx = RoundContext(
-            round_index=round_index,
-            environment=self._env,
-            # Lazy view: scalar policies see the usual per-device mapping, vectorised
-            # ones read the arrays and never pay the O(N) object construction.
-            conditions=condition_arrays.lazy_mapping(self._env.device_ids),
-            accuracy=self._backend.accuracy,
-            condition_arrays=condition_arrays,
-            online_mask=online_mask,
+            round_index, env, conditions, self._backend.accuracy, condition_arrays, online_mask
         )
         decision = self._policy.select(ctx)
         if not decision.participants:
