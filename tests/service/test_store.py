@@ -1,16 +1,23 @@
 """Tests for the SQLite artifact store: cache semantics, migration and artifacts."""
 
 import json
+import shutil
 import sqlite3
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ResultStore, run_experiment
+from repro.experiments.runner import ResultStore, StaleResultWarning, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.store import ArtifactStore, migrate_jsonl, open_store
 from repro.sim.scenarios import ScenarioSpec
+
+#: A store written by the retired flat-file JSONL writer: the entry of
+#: ``repro run --policy fedavg-random --devices 25 --rounds 4``, the same point
+#: re-computed under the same hash, then one line written under spec schema 1.
+LEGACY_FIXTURE = Path(__file__).with_name("legacy-results.jsonl")
 
 
 def _spec(seed=0, policy="fedavg-random"):
@@ -182,4 +189,39 @@ class TestOpenStore:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # The legacy loader's warning must not escape.
             store = open_store(tmp_path / "results.sqlite")
+        assert len(store) == 1
+
+
+class TestLegacyFixture:
+    """A JSONL file from the retired writer serves the same hits after migration."""
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        shutil.copyfile(LEGACY_FIXTURE, path)
+        return path
+
+    def test_fixture_lines(self):
+        first, last, stale = (
+            json.loads(line) for line in LEGACY_FIXTURE.read_text().splitlines()
+        )
+        assert first["hash"] == last["hash"] == _spec().spec_hash()
+        assert first["elapsed_s"] != last["elapsed_s"]
+        assert stale["spec"]["schema"] == 1 and stale["hash"] != first["hash"]
+
+    def test_migrate_jsonl_keeps_the_last_current_line(self, legacy, store, result):
+        _first, last, stale = (json.loads(line) for line in legacy.read_text().splitlines())
+        with pytest.warns(StaleResultWarning, match="schema 1"):
+            assert migrate_jsonl(legacy, store) == 1
+        hit = store.get(_spec())
+        assert hit.elapsed_s == last["elapsed_s"]  # the last line wins
+        assert hit.summaries == result.summaries  # equal to a fresh run
+        assert store.get(stale["hash"]) is None
+
+    def test_open_store_on_the_jsonl_path_serves_the_hit(self, legacy, result):
+        with pytest.warns(StaleResultWarning, match="schema 1"):
+            store = open_store(legacy)
+        hit = store.get(_spec())
+        assert hit is not None and hit.cached
+        assert hit.summaries == result.summaries
         assert len(store) == 1
