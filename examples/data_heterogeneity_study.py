@@ -11,7 +11,7 @@ The whole study is one declarative grid (distribution x policy) executed by the
 Run with:  python examples/data_heterogeneity_study.py
 """
 
-from repro import BatchRunner, ExperimentSpec, ResultStore, ScenarioSpec, Sweep
+from repro import BatchRunner, ExperimentSpec, ScenarioSpec, Sweep, open_store
 from repro.experiments.reporting import format_table
 
 DISTRIBUTIONS = ("iid", "non_iid_50", "non_iid_75", "non_iid_100")
@@ -33,7 +33,7 @@ def main() -> None:
         data_distribution=DISTRIBUTIONS,
         policy=("fedavg-random", "autofl"),
     )
-    runner = BatchRunner(store=ResultStore(".repro-results/data-heterogeneity.jsonl"))
+    runner = BatchRunner(store=open_store(".repro-results/data-heterogeneity.sqlite"))
     report = runner.run(sweep)
     by_point = {
         (result.spec.scenario.data_distribution, result.spec.policy): result

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     BatchRunner,
     ExperimentResult,
     MultiprocessExecutor,
-    ResultStore,
     SerialExecutor,
     run_experiment,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "Job",
     "JobQueue",
     "MultiprocessExecutor",
-    "ResultStore",
     "ScenarioSpec",
     "Scheduler",
     "SerialExecutor",

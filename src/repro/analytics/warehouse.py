@@ -306,24 +306,20 @@ class Warehouse:
         return added
 
     def ingest_store(self, store, label: str = "default") -> int:
-        """Ingest every cached result of a result store (SQLite or legacy JSONL).
+        """Ingest every cached result of a result store.
 
-        ``store`` is a :class:`~repro.service.store.ArtifactStore`, a legacy
-        :class:`~repro.experiments.runner.ResultStore`, or a path understood by
-        :func:`~repro.service.store.open_store` (the existing migration seam, so
-        legacy ``.jsonl`` stores ingest through the same door).  Summaries land in
-        the ``runs`` table, one row per seed replica.
+        ``store`` is a :class:`~repro.service.store.ArtifactStore` or
+        :class:`~repro.service.store.ShardedStore`, or a path understood by
+        :func:`~repro.service.store.open_store` (so a ``.jsonl`` file of the retired
+        flat-file store is migrated, then ingested).  Summaries land in the ``runs``
+        table, one row per seed replica.
         """
         if isinstance(store, (str, os.PathLike)):
             from repro.service.store import open_store
 
             store = open_store(store)
         rows: list[dict] = []
-        if hasattr(store, "iter_results"):  # ArtifactStore: preset-aware iteration.
-            entries = store.iter_results()
-        else:  # Legacy JSONL ResultStore (or an in-memory double with .results()).
-            entries = ((result, None) for result in store.results().values())
-        for result, preset in entries:
+        for result, preset in store.iter_results():
             rows.extend(
                 run_rows_from_experiment(result, label=label, source="store", preset=preset)
             )

@@ -17,8 +17,7 @@ orchestration service:
 * ``webhooks`` — register/list/remove/test signed HTTP event callbacks;
 * ``cancel``   — cancel a queued job immediately, a running job cooperatively;
 * ``bench``    — performance trajectories: the vectorised round engine and seed
-  replication (``BENCH_roundengine.json``) or the JSONL-vs-SQLite store
-  (``--suite store``, ``BENCH_store.json``);
+  replication (``BENCH_roundengine.json``);
 * ``validate`` — the validation subsystem: ``record`` golden trajectories for scenario
   presets and shipped paths, ``check`` them bit-exactly against a fresh run (exit 1 on
   drift, with a report naming the first diverging round and field), and ``fuzz``
@@ -42,10 +41,10 @@ Tabular commands (``compare``, ``status``, ``query``, ``report``, ``eval``) shar
 ``run``/``compare``/``sweep``/``submit`` accept ``--scenario PRESET`` to start from a
 registered scenario preset (``paper-200``, ``fleet-1k``, ``diurnal-1k``,
 ``flaky-fleet``, ``churn-heavy``, …); any explicitly passed scenario flag overrides the
-preset field.  Result stores default to the indexed SQLite backend
-(``.repro-results/results.sqlite``); a ``--store`` path ending in ``.jsonl`` selects
-the legacy flat-file backend, and a legacy store sitting next to the SQLite default is
-migrated in automatically on first use.
+preset field.  Result stores are indexed SQLite files (default
+``.repro-results/results.sqlite``).  A ``--store`` path ending in ``.jsonl`` names a
+retired flat-file store: it opens the ``.sqlite`` file beside it, and a ``.jsonl`` file
+sitting next to a SQLite store is migrated in automatically on first use.
 
 Examples
 --------
@@ -67,7 +66,6 @@ Examples
     python -m repro trace --output trace.json
     python -m repro watch -f
     python -m repro bench --sizes 200,1000,10000
-    python -m repro bench --suite store --entries 10000
     python -m repro validate check
     python -m repro validate fuzz --budget 60 --report fuzz-report.json
     python -m repro ingest --store --goldens --label baseline
@@ -127,9 +125,6 @@ from repro.service import (
     DEFAULT_POLL_S,
     DEFAULT_SERVICE_ROOT,
     DEFAULT_SQLITE_STORE_PATH,
-    DEFAULT_STORE_BENCH_ENTRIES,
-    DEFAULT_STORE_BENCH_LOOKUPS,
-    DEFAULT_STORE_BENCH_OUTPUT,
     EVENTS_FILENAME,
     SHED_POLICIES,
     AdmissionPolicy,
@@ -144,10 +139,8 @@ from repro.service import (
     deliver_once,
     event_matches,
     format_event,
-    format_store_bench,
     make_job,
     open_store,
-    run_store_bench,
     tail_events,
 )
 from repro.sim.bench import (
@@ -278,8 +271,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=str(DEFAULT_SQLITE_STORE_PATH),
         help=(
-            "result store used as the spec-hash cache (SQLite by default; "
-            "a path ending in .jsonl selects the legacy flat-file backend)"
+            "SQLite result store used as the spec-hash cache (a path ending in "
+            ".jsonl opens the .sqlite file beside it, migrating the .jsonl in)"
         ),
     )
     parser.add_argument(
@@ -463,20 +456,10 @@ def _register_bench(args: argparse.Namespace, record: dict) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "store":
-        output = args.output if args.output is not None else DEFAULT_STORE_BENCH_OUTPUT
-        record = run_store_bench(
-            entries=args.entries, lookups=args.lookups, seed=args.seed, output=output
-        )
-        print(format_store_bench(record))
-        print(f"\nwrote {output}")
-        _register_bench(args, record)
-        return 0
     try:
         sizes = tuple(int(size) for size in args.sizes.split(",") if size.strip())
     except ValueError:
         raise ConfigurationError(f"invalid --sizes value {args.sizes!r}") from None
-    output = args.output if args.output is not None else DEFAULT_BENCH_OUTPUT
     record = run_roundengine_bench(
         sizes=sizes,
         seed=args.seed,
@@ -484,12 +467,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         interference=args.interference,
         network=args.network,
         repeats=args.repeats,
-        output=output,
+        output=args.output,
         replicates=args.replicates,
         replication_rounds=args.replication_rounds,
     )
     print(format_bench_record(record))
-    print(f"\nwrote {output}")
+    print(f"\nwrote {args.output}")
     _register_bench(args, record)
     return 0
 
@@ -1216,68 +1199,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="performance benchmarks: the round engine, or the result-store backends",
-    )
-    bench_parser.add_argument(
-        "--suite",
-        default="roundengine",
-        choices=("roundengine", "store"),
-        help="what to benchmark (default: vectorised round execution and seed replication)",
+        help="performance benchmark: vectorised round execution and seed replication",
     )
     bench_parser.add_argument(
         "--sizes",
         default=",".join(str(size) for size in DEFAULT_BENCH_SIZES),
-        help="[roundengine] comma-separated fleet sizes to time",
+        help="comma-separated fleet sizes to time",
     )
     bench_parser.add_argument(
         "--repeats",
         type=int,
         default=None,
-        help="[roundengine] timed rounds per phase (default: calibrated per fleet size)",
+        help="timed rounds per phase (default: calibrated per fleet size)",
+    )
+    bench_parser.add_argument("--workload", default="cnn-mnist", help="FL workload name")
+    bench_parser.add_argument(
+        "--interference", default="moderate", help="interference scenario during the bench"
     )
     bench_parser.add_argument(
-        "--workload", default="cnn-mnist", help="[roundengine] FL workload name"
-    )
-    bench_parser.add_argument(
-        "--interference",
-        default="moderate",
-        help="[roundengine] interference scenario during the bench",
-    )
-    bench_parser.add_argument(
-        "--network", default="variable", help="[roundengine] network scenario during the bench"
+        "--network", default="variable", help="network scenario during the bench"
     )
     bench_parser.add_argument(
         "--replicates",
         type=int,
         default=DEFAULT_BENCH_REPLICATES,
-        help="[roundengine] seeds of the replication measurement (0 disables it)",
+        help="seeds of the replication measurement (0 disables it)",
     )
     bench_parser.add_argument(
         "--replication-rounds",
         type=int,
         default=DEFAULT_REPLICATION_ROUNDS,
-        help="[roundengine] rounds each replicate runs in the replication measurement",
-    )
-    bench_parser.add_argument(
-        "--entries",
-        type=int,
-        default=DEFAULT_STORE_BENCH_ENTRIES,
-        help="[store] number of cached specs the stores are loaded with",
-    )
-    bench_parser.add_argument(
-        "--lookups",
-        type=int,
-        default=DEFAULT_STORE_BENCH_LOOKUPS,
-        help="[store] timed spec-hash lookups (half hits, half misses)",
+        help="rounds each replicate runs in the replication measurement",
     )
     bench_parser.add_argument("--seed", type=int, default=0, help="base random seed")
     bench_parser.add_argument(
         "--output",
-        default=None,
-        help=(
-            "JSON file the record is written to (default: "
-            f"{DEFAULT_BENCH_OUTPUT} or {DEFAULT_STORE_BENCH_OUTPUT} per suite)"
-        ),
+        default=DEFAULT_BENCH_OUTPUT,
+        help=f"JSON file the record is written to (default: {DEFAULT_BENCH_OUTPUT})",
     )
     bench_parser.add_argument(
         "--warehouse",
@@ -1716,8 +1674,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "ingest a result store (SQLite or legacy .jsonl; "
-            f"default path: {DEFAULT_SQLITE_STORE_PATH})"
+            "ingest a result store (SQLite, a shard directory, or a .jsonl file to "
+            f"migrate; default path: {DEFAULT_SQLITE_STORE_PATH})"
         ),
     )
     ingest_parser.add_argument(

@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     BatchRunner,
     ExperimentResult,
     MultiprocessExecutor,
-    ResultStore,
     SerialExecutor,
     SpecFailure,
     StoreBackend,
@@ -48,7 +47,6 @@ __all__ = [
     "GLOBAL_PARAMETER_SETTINGS",
     "MultiprocessExecutor",
     "PredictionAccuracyReport",
-    "ResultStore",
     "SerialExecutor",
     "SpecFailure",
     "StoreBackend",

@@ -1,31 +1,29 @@
-"""Batch execution of declarative experiments: executors, caching and the result store.
+"""Batch execution of declarative experiments: executors, caching and the store protocol.
 
 A :class:`BatchRunner` takes a :class:`~repro.experiments.spec.Sweep` (or any iterable of
 :class:`~repro.experiments.spec.ExperimentSpec`) and produces one
 :class:`ExperimentResult` per grid point.  Points whose spec hash is already present in
-the :class:`ResultStore` are served from cache — a re-run of an already-computed grid is
-near-instant — and the misses fan out over a pluggable executor (serial, or one worker
-process per core via :class:`MultiprocessExecutor`).
+the :class:`StoreBackend` (the SQLite store of :mod:`repro.service.store`) are served
+from cache — a re-run of an already-computed grid is near-instant — and the misses fan
+out over a pluggable executor (serial, or one worker process per core via
+:class:`MultiprocessExecutor`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
-import warnings
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.selection import make_policy
 from repro.exceptions import ConfigurationError, ExecutionError
-from repro.experiments.spec import SPEC_SCHEMA_VERSION, ExperimentSpec, Sweep
+from repro.experiments.spec import ExperimentSpec, Sweep
 from repro.fl.metrics import EfficiencySummary
 from repro.sim.replicated import ReplicatedSimulation
 from repro.sim.runner import FLSimulation, RoundObserver
@@ -33,9 +31,6 @@ from repro.sim.scenarios import build_environment, build_surrogate_backend
 
 #: Bumped whenever the stored result payload's shape changes.
 RESULT_SCHEMA_VERSION = 1
-
-#: Default on-disk location of the JSONL result store (relative to the working directory).
-DEFAULT_STORE_PATH = Path(".repro-results") / "results.jsonl"
 
 #: Offset between the scenario seed and the policy RNG stream (kept distinct from the
 #: environment and backend streams; mirrors the original harness seeding).
@@ -400,8 +395,9 @@ class StoreBackend(Protocol):
     """Structural interface of a result-store backend.
 
     Anything with spec-hash keyed ``get``/``put`` (plus ``in``/``len``) can serve as
-    the :class:`BatchRunner` cache: the flat JSONL :class:`ResultStore`, the SQLite
-    :class:`~repro.service.store.ArtifactStore`, or an in-memory test double.  Serial
+    the :class:`BatchRunner` cache: the SQLite
+    :class:`~repro.service.store.ArtifactStore` or
+    :class:`~repro.service.store.ShardedStore`, or an in-memory test double.  Serial
     and multiprocess execution and the orchestration scheduler all share one cache
     through this protocol.
     """
@@ -417,80 +413,6 @@ class StoreBackend(Protocol):
     def __contains__(self, spec: "ExperimentSpec | str") -> bool: ...
 
     def __len__(self) -> int: ...
-
-
-class ResultStore:
-    """Append-only JSONL store of experiment results, keyed by deterministic spec hash.
-
-    The file is loaded once at construction; on duplicate hashes the last line wins (so
-    re-computing a point simply supersedes it).  Writes append a single JSON line,
-    keeping concurrent readers safe and the file trivially greppable.
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._results: dict[str, ExperimentResult] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    key = payload["hash"]
-                    spec_payload = payload["spec"]
-                    if not isinstance(spec_payload, dict):
-                        raise TypeError(
-                            f"spec must be an object, got {type(spec_payload).__name__}"
-                        )
-                    if spec_payload.get("schema") != SPEC_SCHEMA_VERSION:
-                        # Stale entry from an older spec schema: its hash can never be
-                        # looked up again (hashes embed the schema), so skip it rather
-                        # than failing the whole store on a schema bump — but say so,
-                        # naming both versions, or users chase phantom cache misses.
-                        warnings.warn(
-                            f"result store {self.path} line {line_number}: skipping "
-                            f"stale entry with spec schema "
-                            f"{spec_payload.get('schema')!r} (this version reads "
-                            f"schema {SPEC_SCHEMA_VERSION}); re-run to refresh it",
-                            StaleResultWarning,
-                            stacklevel=3,
-                        )
-                        continue
-                    result = ExperimentResult.from_dict(payload, cached=True)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigurationError(
-                        f"corrupt result store {self.path} at line {line_number}: {exc}"
-                    ) from exc
-                self._results[key] = result
-
-    def get(self, spec: ExperimentSpec | str) -> ExperimentResult | None:
-        """Look up the stored result for a spec (or a raw spec hash)."""
-        key = spec if isinstance(spec, str) else spec.spec_hash()
-        return self._results.get(key)
-
-    def results(self) -> dict[str, ExperimentResult]:
-        """Snapshot of every loaded entry by spec hash (used by store migration)."""
-        return dict(self._results)
-
-    def put(self, result: ExperimentResult) -> None:
-        """Persist one result (appends a JSONL line and updates the in-memory index)."""
-        payload = result.to_dict()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._results[payload["hash"]] = replace(result, cached=True)
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def __contains__(self, spec: ExperimentSpec | str) -> bool:
-        key = spec if isinstance(spec, str) else spec.spec_hash()
-        return key in self._results
 
 
 @dataclass(frozen=True)
@@ -516,8 +438,8 @@ class BatchRunner:
     executor:
         Fan-out strategy for cache misses; defaults to :class:`SerialExecutor`.
     store:
-        Optional :class:`StoreBackend` (the JSONL :class:`ResultStore`, the SQLite
-        :class:`~repro.service.store.ArtifactStore`, …); when given, hits skip
+        Optional :class:`StoreBackend` (usually from
+        :func:`~repro.service.store.open_store`); when given, hits skip
         execution entirely and fresh results are persisted for the next run.  Results
         are flushed as they complete, so an interrupted or partially-failed batch
         keeps its finished points and a re-run resumes from them.

@@ -13,28 +13,19 @@ that many clients can drive concurrently:
 * :mod:`repro.service.scheduler` — the worker pool: dedupes grid points against the
   store by spec hash, enforces per-job timeouts, honours cancellation, retries
   failures and attaches validation reports to failed jobs;
-* :mod:`repro.service.store` — the SQLite :class:`ArtifactStore`, the indexed
-  service-grade replacement of the flat JSONL result store (lossless migration
-  included), plus job artifacts;
+* :mod:`repro.service.store` — the SQLite :class:`ArtifactStore` (and its sharded
+  form), the indexed result store behind every cache, plus job artifacts and the
+  one-shot import of retired flat-file JSONL stores;
 * :mod:`repro.service.events` — the append-only JSONL event log behind
   ``python -m repro watch``, with durable cursors and cross-process seq counters;
 * :mod:`repro.service.eventbus` — push-based fan-out over that log: in-process
   subscriptions plus the ``/events`` long-poll and ``/events/stream`` SSE server;
 * :mod:`repro.service.webhooks` — signed at-least-once HTTP callbacks with retry,
-  backoff and a dead-letter log;
-* :mod:`repro.service.bench` — the JSONL-vs-SQLite store benchmark
-  (``python -m repro bench --suite store``).
+  backoff and a dead-letter log.
 
 The CLI front-ends are ``python -m repro {serve,submit,status,watch,events,webhooks,cancel}``.
 """
 
-from repro.service.bench import (
-    DEFAULT_STORE_BENCH_ENTRIES,
-    DEFAULT_STORE_BENCH_LOOKUPS,
-    DEFAULT_STORE_BENCH_OUTPUT,
-    format_store_bench,
-    run_store_bench,
-)
 from repro.service.eventbus import (
     DEFAULT_MAX_SUBSCRIBER_QUEUE,
     EventBus,
@@ -105,9 +96,6 @@ __all__ = [
     "DEFAULT_POLL_S",
     "DEFAULT_SERVICE_ROOT",
     "DEFAULT_SQLITE_STORE_PATH",
-    "DEFAULT_STORE_BENCH_ENTRIES",
-    "DEFAULT_STORE_BENCH_LOOKUPS",
-    "DEFAULT_STORE_BENCH_OUTPUT",
     "DEFAULT_STORE_SHARDS",
     "EVENTS_FILENAME",
     "EVENT_SCHEMA_VERSION",
@@ -135,13 +123,11 @@ __all__ = [
     "event_matches",
     "follow_events",
     "format_event",
-    "format_store_bench",
     "hash_lane",
     "make_job",
     "migrate_jsonl",
     "open_store",
     "read_events_since",
-    "run_store_bench",
     "sign_payload",
     "submit_provenance",
     "tail_events",

@@ -420,7 +420,7 @@ class Scheduler:
         summary = f"spec {spec_hash[:12]}: {error_type}: {outcome.get('message', '')}"
         report = outcome.get("report")
         # Duck-typed: any artifact-grade backend (ArtifactStore, ShardedStore, …)
-        # can hold the report; the flat JSONL store simply cannot.
+        # can hold the report; a bare StoreBackend (e.g. an in-memory one) cannot.
         if report is not None and hasattr(self.store, "put_artifact"):
             self.store.put_artifact(
                 job.job_id, f"validation-{spec_hash[:12]}", "validation-report", report

@@ -1,20 +1,18 @@
 """SQLite-backed experiment store: indexed results, job artifacts and JSONL migration.
 
-:class:`ArtifactStore` is the service-grade replacement of the flat JSONL
-:class:`~repro.experiments.runner.ResultStore`.  It satisfies the same
-:class:`~repro.experiments.runner.StoreBackend` protocol — ``get``/``put`` keyed by
-deterministic spec hash, identical cache-hit semantics — but keeps results in an
-indexed SQLite database so:
+:class:`ArtifactStore` is the result store behind the
+:class:`~repro.experiments.runner.StoreBackend` protocol: ``get``/``put`` keyed by
+deterministic spec hash, with results kept in an indexed SQLite database so:
 
 * lookups stay O(log n) without loading the whole store at open time;
 * many worker processes can read and write concurrently (WAL journal + busy timeout);
 * results are queryable by spec schema version, scenario preset, workload and policy;
 * jobs can attach arbitrary artifacts (e.g. a failed run's ``ValidationReport``).
 
-Existing JSONL stores migrate losslessly via :func:`migrate_jsonl` — every line's spec
-hash is recomputed and verified during the copy — and :func:`open_store` picks the
-backend from the path suffix, auto-migrating a legacy sibling ``.jsonl`` file the first
-time a SQLite store opens next to one.
+Files of the retired flat-file JSONL store import via :func:`migrate_jsonl` — every
+line's spec hash is recomputed and verified during the copy — and :func:`open_store`
+auto-migrates a ``.jsonl`` file the first time a SQLite store opens next to one (a
+``.jsonl`` path opens its ``.sqlite`` sibling, so old command lines keep working).
 
 For horizontally scaled fleets, :class:`ShardedStore` spreads the same contract over
 N SQLite shard files keyed by spec hash, so many ``repro serve`` hosts mounting one
@@ -33,11 +31,11 @@ import time
 import warnings
 from pathlib import Path
 
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.experiments.runner import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
-    ResultStore,
+    StaleResultWarning,
     StoreBackend,
 )
 from repro.experiments.spec import SPEC_SCHEMA_VERSION, ExperimentSpec
@@ -202,8 +200,6 @@ class ArtifactStore:
         are skipped with the usual :class:`~repro.experiments.runner.StaleResultWarning`
         (their hashes can never be looked up again anyway).
         """
-        from repro.experiments.runner import StaleResultWarning
-
         with self._lock:
             rows = self._connection().execute(
                 "SELECT payload, preset FROM results ORDER BY created_at, hash"
@@ -392,19 +388,63 @@ def migrate_jsonl(
 ) -> int:
     """Copy every current-schema entry of a JSONL store into ``store``; returns the count.
 
-    The copy is lossless and verified: each line is rebuilt through the normal
-    :class:`ResultStore` loader (stale-schema lines are skipped with the usual warning)
-    and, with ``verify_hashes``, the spec hash is recomputed from the rebuilt spec and
-    checked against the stored key, so a corrupted line can never silently poison the
-    indexed store.  Already-present hashes are left untouched, making migration
-    idempotent and safe to run concurrently from several processes.
+    Each line of the retired flat-file store is one JSON result payload, and on
+    duplicate hashes the last line wins (a re-computed point superseded its old line).
+    A line that does not parse, or lacks its hash or spec, raises
+    :class:`~repro.exceptions.ConfigurationError` naming the line.  Lines written under
+    an older spec schema can never be looked up again (hashes embed the schema), so
+    they are skipped, with one :class:`~repro.experiments.runner.StaleResultWarning`
+    per file naming the count and both schema versions.  With ``verify_hashes``, each
+    spec hash is recomputed from the rebuilt spec and checked against the stored key,
+    so a corrupted line can never silently poison the indexed store.  Already-present
+    hashes are left untouched, making migration idempotent and safe to run
+    concurrently from several processes.
     """
-    jsonl_path = Path(jsonl_path)
+    return _migrate(Path(jsonl_path), store, verify_hashes)[0]
+
+
+def _migrate(
+    jsonl_path: Path, store: "ArtifactStore | ShardedStore", verify_hashes: bool = True
+) -> tuple[int, int]:
+    """:func:`migrate_jsonl`, returning ``(migrated, skipped stale lines)``."""
     if not jsonl_path.exists():
-        return 0
+        return 0, 0
+    results: dict[str, ExperimentResult] = {}
+    stale: dict[object, int] = {}
+    with jsonl_path.open("r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+                key = payload["hash"]
+                spec_payload = payload["spec"]
+                if not isinstance(spec_payload, dict):
+                    raise TypeError(
+                        f"spec must be an object, got {type(spec_payload).__name__}"
+                    )
+                schema = spec_payload.get("schema")
+                if schema != SPEC_SCHEMA_VERSION:
+                    stale[schema] = stale.get(schema, 0) + 1
+                    continue
+                results[key] = ExperimentResult.from_dict(payload, cached=True)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigurationError(
+                    f"corrupt result store {jsonl_path} at line {line_number}: {exc}"
+                ) from exc
+    skipped = sum(stale.values())
+    if skipped:
+        # Say so, naming both versions, or users chase phantom cache misses.
+        warnings.warn(
+            f"result store {jsonl_path}: skipped {skipped} stale line(s) with spec "
+            f"schema {', '.join(repr(schema) for schema in stale)} (this version reads "
+            f"schema {SPEC_SCHEMA_VERSION}); re-run those points to refresh them",
+            StaleResultWarning,
+            stacklevel=3,
+        )
     migrated = 0
-    legacy = ResultStore(jsonl_path)
-    for spec_hash, result in legacy.results().items():
+    for spec_hash, result in results.items():
         if verify_hashes and result.spec.spec_hash() != spec_hash:
             raise ServiceError(
                 f"JSONL store {jsonl_path}: entry keyed {spec_hash[:12]} rebuilds to "
@@ -414,36 +454,41 @@ def migrate_jsonl(
         if spec_hash not in store:
             store.put(result)
             migrated += 1
-    return migrated
+    return migrated, skipped
 
 
 def open_store(path: str | os.PathLike, shards: int | None = None) -> StoreBackend:
-    """Open a result store, picking the backend from the path (and ``shards``).
+    """Open a result store, picking the layout from the path (and ``shards``).
 
-    ``*.jsonl`` opens the legacy flat-file :class:`ResultStore`.  A directory
-    carrying a ``shards.json`` manifest — or any path opened with ``shards`` set —
-    opens (creating if needed) a :class:`ShardedStore`, the multi-host backend.
-    Anything else opens a single-file SQLite :class:`ArtifactStore`; when it sits
-    next to a legacy ``.jsonl`` sibling (the pre-service default layout), the
-    sibling is migrated in on first open and a receipt recorded in ``meta`` so later
-    opens skip the scan.
+    A directory carrying a ``shards.json`` manifest — or any path opened with
+    ``shards`` set — opens (creating if needed) a :class:`ShardedStore`, the
+    multi-host backend.  Anything else opens a single-file SQLite
+    :class:`ArtifactStore`; a path ending in ``.jsonl`` (the retired flat-file store)
+    opens its ``.sqlite`` sibling instead.  When a ``.jsonl`` file sits next to the
+    SQLite file, it is migrated in on first open and a receipt recorded in ``meta`` so
+    later opens skip the scan.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
         if shards is not None:
             raise ServiceError(f"a .jsonl store cannot be sharded: {path}")
-        return ResultStore(path)
+        path = path.with_suffix(".sqlite")
     if shards is not None or (path.is_dir() and (path / ShardedStore.MANIFEST).exists()):
         return ShardedStore(path, shards=shards)
     store = ArtifactStore(path)
     legacy = path.with_suffix(".jsonl")
     receipt_key = f"migrated:{legacy.name}"
     if legacy.exists() and store.get_meta(receipt_key) is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # Stale legacy lines already warned once.
-            migrated = migrate_jsonl(legacy, store)
+        migrated, skipped = _migrate(legacy, store)
         store.set_meta(
             receipt_key,
-            json.dumps({"migrated": migrated, "at": time.time(), "spec_schema": SPEC_SCHEMA_VERSION}),
+            json.dumps(
+                {
+                    "migrated": migrated,
+                    "skipped": skipped,
+                    "at": time.time(),
+                    "spec_schema": SPEC_SCHEMA_VERSION,
+                }
+            ),
         )
     return store

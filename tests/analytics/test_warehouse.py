@@ -9,8 +9,9 @@ import pytest
 
 from repro.analytics import Warehouse, get_backend, have_pyarrow
 from repro.analytics.warehouse import MANIFEST_FILENAME, NumpyBackend
+from legacy_jsonl import append_jsonl
 from repro.exceptions import AnalyticsError
-from repro.experiments.runner import BatchRunner, ResultStore
+from repro.experiments.runner import BatchRunner, run_experiment
 from repro.service.store import ArtifactStore
 from repro.validation.golden import GoldenStore, golden_spec
 
@@ -121,10 +122,11 @@ class TestIngestStore:
     def _populated_store(self, tmp_path, small_spec, kind):
         import dataclasses
 
-        path = tmp_path / ("results.jsonl" if kind == "jsonl" else "results.sqlite")
-        store = ResultStore(path) if kind == "jsonl" else ArtifactStore(path)
         spec = dataclasses.replace(small_spec, n_seeds=2).validate()
-        BatchRunner(store=store).run([spec])
+        if kind == "jsonl":
+            return append_jsonl(tmp_path / "results.jsonl", run_experiment(spec)), spec
+        path = tmp_path / "results.sqlite"
+        BatchRunner(store=ArtifactStore(path)).run([spec])
         return path, spec
 
     @pytest.mark.parametrize("kind", ["sqlite", "jsonl"])

@@ -1,5 +1,6 @@
 """Tests for the batch runner: executors, result store and spec-hash caching."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,13 +9,13 @@ import warnings
 
 import pytest
 
+from legacy_jsonl import append_jsonl
 from repro.exceptions import ConfigurationError, ExecutionError, ValidationError
 from repro.experiments.harness import run_simulation
 from repro.experiments.runner import (
     BatchRunner,
     ExperimentResult,
     MultiprocessExecutor,
-    ResultStore,
     SerialExecutor,
     StaleResultWarning,
     StoreBackend,
@@ -23,7 +24,11 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.spec import ExperimentSpec, Sweep
+from repro.service.store import ArtifactStore, open_store
 from repro.sim.scenarios import ScenarioSpec
+
+#: A line written under spec schema 1 (its hash can never be looked up again).
+STALE_LINE = '{"hash": "deadbeef", "spec": {"schema": 1}, "summaries": []}\n'
 
 
 @pytest.fixture
@@ -85,8 +90,10 @@ class TestExecutors:
 
 
 class TestResultStore:
+    """The result store behind ``open_store``, and its import of JSONL store files."""
+
     def test_put_get_roundtrip(self, tmp_path, base):
-        store = ResultStore(tmp_path / "results.jsonl")
+        store = open_store(tmp_path / "results.sqlite")
         assert store.get(base) is None
         result = run_experiment(base)
         store.put(result)
@@ -95,73 +102,76 @@ class TestResultStore:
         assert cached.cached and cached.summaries == result.summaries
 
     def test_reload_from_disk(self, tmp_path, base):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).put(run_experiment(base))
-        reloaded = ResultStore(path)
+        path = tmp_path / "results.sqlite"
+        open_store(path).put(run_experiment(base))
+        reloaded = open_store(path)
         assert len(reloaded) == 1
         assert reloaded.get(base.spec_hash()) is not None
 
-    def test_corrupt_line_reports_location(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ConfigurationError, match="line 1"):
-            ResultStore(path)
+    def test_corrupt_line_reports_location(self, tmp_path, base):
+        path = append_jsonl(tmp_path / "results.jsonl", run_experiment(base))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with pytest.raises(ConfigurationError, match="line 2"):
+            open_store(path)
 
     def test_line_missing_hash_reports_location(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text('{"schema": 1, "spec": {}, "summaries": []}\n')
         with pytest.raises(ConfigurationError, match="line 1"):
-            ResultStore(path)
+            open_store(path)
 
     def test_stale_spec_schema_entries_warn_with_both_versions(self, tmp_path, base):
         # A schema bump must not brick existing stores: stale lines (whose hashes can
         # never be looked up again) are skipped — but loudly, naming both versions, so
         # users understand the resulting cache misses.
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.put(run_experiment(base))
-        stale = '{"hash": "deadbeef", "spec": {"schema": 1}, "summaries": []}\n'
+        path = append_jsonl(tmp_path / "results.jsonl", run_experiment(base))
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(stale)
+            handle.write(STALE_LINE)
         with pytest.warns(StaleResultWarning, match=r"schema 1.*reads schema 3"):
-            reloaded = ResultStore(path)
+            reloaded = open_store(path)
         assert len(reloaded) == 1
         assert reloaded.get(base.spec_hash()) is not None
 
     def test_current_schema_store_loads_without_warning(self, tmp_path, base):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).put(run_experiment(base))
+        path = append_jsonl(tmp_path / "results.jsonl", run_experiment(base))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # Any warning fails the test.
-            reloaded = ResultStore(path)
+            reloaded = open_store(path)
         assert len(reloaded) == 1
+
+    def test_last_line_wins_for_a_duplicate_hash(self, tmp_path, base):
+        result = run_experiment(base)
+        recomputed = dataclasses.replace(result, elapsed_s=result.elapsed_s + 1.0)
+        path = append_jsonl(tmp_path / "results.jsonl", result, recomputed)
+        reloaded = open_store(path)
+        assert len(reloaded) == 1
+        assert reloaded.get(base).elapsed_s == recomputed.elapsed_s
 
     def test_cache_hit_and_miss_paths(self, tmp_path, base):
         # Explicit hit/miss coverage: a fresh spec misses, a stored one hits (flagged
         # cached), a stale-schema line stays a miss for its hash.
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        assert store.get(base) is None  # Miss on an empty store.
-        assert base not in store
-        store.put(run_experiment(base))
+        path = append_jsonl(tmp_path / "results.jsonl", run_experiment(base))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(STALE_LINE)
+        with pytest.warns(StaleResultWarning):
+            store = open_store(path)
         hit = store.get(base)
-        assert hit is not None and hit.cached  # Hit after put.
+        assert hit is not None and hit.cached  # Hit on the migrated entry.
+        assert store.get("deadbeef") is None  # Stale entries never serve hits.
         other = base.with_axis("seed", 123)
         assert store.get(other) is None  # Different spec hash still misses.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"hash": "deadbeef", "spec": {"schema": 1}, "summaries": []}\n')
-        with pytest.warns(StaleResultWarning):
-            reloaded = ResultStore(path)
-        assert reloaded.get("deadbeef") is None  # Stale entries never serve hits.
-        assert reloaded.get(base) is not None
+        assert other not in store
+        store.put(run_experiment(other))
+        assert store.get(other).cached  # Hit after put.
 
 
 class TestBatchRunner:
     def test_first_run_executes_second_run_hits_cache(self, tmp_path, sweep):
-        path = tmp_path / "results.jsonl"
-        first = BatchRunner(store=ResultStore(path)).run(sweep)
+        path = tmp_path / "results.sqlite"
+        first = BatchRunner(store=open_store(path)).run(sweep)
         assert (first.total, first.cache_hits, first.executed) == (4, 0, 4)
-        second = BatchRunner(store=ResultStore(path)).run(sweep)
+        second = BatchRunner(store=open_store(path)).run(sweep)
         assert (second.total, second.cache_hits, second.executed) == (4, 4, 0)
         assert all(result.cached for result in second.results)
         assert [r.summaries for r in second.results] == [r.summaries for r in first.results]
@@ -272,7 +282,7 @@ class TestMultiprocessFailureIsolation:
 
     def test_batch_runner_flushes_completed_points_before_reraising(self, base, tmp_path):
         bogus = _crashing_spec(base)
-        store = ResultStore(tmp_path / "results.jsonl")
+        store = ArtifactStore(tmp_path / "results.sqlite")
         runner = BatchRunner(executor=MultiprocessExecutor(max_workers=2), store=store)
         with pytest.raises(ExecutionError):
             runner.run([base, bogus])
@@ -307,21 +317,24 @@ class TestKeyboardInterruptFlush:
             return real(spec, validate=validate)
 
         monkeypatch.setattr(runner_module, "run_experiment", interrupt_after_first)
-        store = ResultStore(tmp_path / "results.jsonl")
+        store = ArtifactStore(tmp_path / "results.sqlite")
         with pytest.raises(KeyboardInterrupt):
             BatchRunner(store=store).run([base, other])
         assert store.get(base) is not None  # completed before the interrupt: flushed
         assert store.get(other) is None
 
         monkeypatch.setattr(runner_module, "run_experiment", real)
-        resumed = BatchRunner(store=ResultStore(tmp_path / "results.jsonl")).run([base, other])
+        resumed = BatchRunner(store=ArtifactStore(tmp_path / "results.sqlite")).run(
+            [base, other]
+        )
         assert resumed.cache_hits == 1  # the flushed point is served from cache
         assert resumed.executed == 1
 
 
 class TestStoreBackendProtocol:
     def test_jsonl_store_satisfies_the_protocol(self, tmp_path):
-        assert isinstance(ResultStore(tmp_path / "results.jsonl"), StoreBackend)
+        # A .jsonl path opens its SQLite sibling, which is a StoreBackend like any other.
+        assert isinstance(open_store(tmp_path / "results.jsonl"), StoreBackend)
 
     def test_any_backend_works_as_the_runner_cache(self, base):
         class DictStore:

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+from legacy_jsonl import append_jsonl
 from repro.cli import main
-from repro.experiments.runner import BatchRunner, ResultStore
+from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.store import ArtifactStore
 from repro.sim.scenarios import ScenarioSpec, get_scenario_preset
@@ -97,9 +98,8 @@ class TestMigratedStoreServesTheScheduler:
             scenario=ScenarioSpec(num_devices=25, max_rounds=4, seed=3),
             policy="fedavg-random",
         )
-        legacy = ResultStore(tmp_path / "results.jsonl")
-        report = BatchRunner(store=legacy).run([spec])
-        assert report.executed == 1
+        legacy = run_experiment(spec)
+        append_jsonl(tmp_path / "results.jsonl", legacy)
 
         # Today: the same spec submitted to the service, whose SQLite store migrates
         # the legacy sibling on first open — the job must be a cache hit.
@@ -124,7 +124,7 @@ class TestMigratedStoreServesTheScheduler:
         # And the migrated row is byte-faithful: same spec hash, same summaries.
         migrated = ArtifactStore(tmp_path / "results.sqlite").get(spec)
         assert migrated is not None
-        assert migrated.summaries == report.results[0].summaries
+        assert migrated.summaries == legacy.summaries
 
 
 class TestPresetColumn:

@@ -11,7 +11,8 @@ import multiprocessing
 
 import pytest
 
-from repro.experiments.runner import ResultStore, run_experiment
+from legacy_jsonl import append_jsonl
+from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.events import EventLog
 from repro.service.jobs import JobState, make_job
@@ -111,11 +112,8 @@ class TestClaimLease:
 
 class TestParallelMigration:
     def test_concurrent_jsonl_migration_neither_corrupts_nor_duplicates(self, tmp_path):
-        legacy_path = tmp_path / "results.jsonl"
-        legacy = ResultStore(legacy_path)
         results = [run_experiment(_spec(seed)) for seed in range(4)]
-        for result in results:
-            legacy.put(result)
+        append_jsonl(tmp_path / "results.jsonl", *results)
         sqlite_path = tmp_path / "results.sqlite"
         barrier = multiprocessing.Barrier(2)
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.experiments.runner import ResultStore
+from repro.experiments.runner import BatchRunner
 from repro.experiments.spec import ExperimentSpec
 from repro.service.events import EventLog
 from repro.service.jobs import Job, JobState, make_job
@@ -81,12 +81,30 @@ class TestDrain:
         assert started == [high, low]
 
     def test_shares_one_cache_with_the_batch_runner_protocol(self, queue, events, tmp_path):
-        # Any StoreBackend works: the legacy JSONL store serves the scheduler too.
-        store = ResultStore(tmp_path / "results.jsonl")
+        # Any StoreBackend works: an in-memory double serves the scheduler too.
+        class DictStore:
+            def __init__(self):
+                self.rows = {}
+
+            def get(self, spec):
+                key = spec if isinstance(spec, str) else spec.spec_hash()
+                return self.rows.get(key)
+
+            def put(self, result):
+                self.rows[result.spec.spec_hash()] = result
+
+            def __contains__(self, spec):
+                return self.get(spec) is not None
+
+            def __len__(self):
+                return len(self.rows)
+
+        store = DictStore()
         scheduler = Scheduler(queue, store, events, poll_s=0.05)
         queue.submit(make_job(_spec()))
         scheduler.serve(workers=1, drain=True)
         assert len(store) == 1
+        assert BatchRunner(store=store).run([_spec()]).cache_hits == 1
 
 
 class TestFailures:

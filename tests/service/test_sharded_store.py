@@ -4,8 +4,9 @@ import multiprocessing
 
 import pytest
 
+from legacy_jsonl import append_jsonl
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ResultStore, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.events import EventLog
 from repro.service.jobs import JobState, make_job
@@ -79,9 +80,7 @@ class TestSharding:
         assert sum(store.count_by_schema().values()) == 4
 
     def test_migrate_jsonl_into_sharded_store(self, tmp_path):
-        legacy = ResultStore(tmp_path / "legacy.jsonl")
-        for seed in range(3):
-            legacy.put(_result(seed))
+        append_jsonl(tmp_path / "legacy.jsonl", *(_result(seed) for seed in range(3)))
         store = ShardedStore(tmp_path / "store", shards=2)
         assert migrate_jsonl(tmp_path / "legacy.jsonl", store) == 3
         assert len(store) == 3

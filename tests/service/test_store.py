@@ -4,20 +4,15 @@ import json
 import shutil
 import sqlite3
 import warnings
-from pathlib import Path
 
 import pytest
 
+from legacy_jsonl import LEGACY_FIXTURE, append_jsonl
 from repro.exceptions import ServiceError
-from repro.experiments.runner import ResultStore, StaleResultWarning, run_experiment
+from repro.experiments.runner import ExperimentResult, StaleResultWarning, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.store import ArtifactStore, migrate_jsonl, open_store
 from repro.sim.scenarios import ScenarioSpec
-
-#: A store written by the retired flat-file JSONL writer: the entry of
-#: ``repro run --policy fedavg-random --devices 25 --rounds 4``, the same point
-#: re-computed under the same hash, then one line written under spec schema 1.
-LEGACY_FIXTURE = Path(__file__).with_name("legacy-results.jsonl")
 
 
 def _spec(seed=0, policy="fedavg-random"):
@@ -71,7 +66,7 @@ class TestWalSwitch:
 
 
 class TestCacheSemantics:
-    """The SQLite backend must be a drop-in for the JSONL store's hit/miss behaviour."""
+    """Hit/miss behaviour of the SQLite store, written directly or migrated from JSONL."""
 
     def test_miss_on_empty_store(self, store):
         assert store.get(_spec()) is None
@@ -102,12 +97,11 @@ class TestCacheSemantics:
         assert reopened.get(_spec()) is not None
 
     def test_matches_jsonl_backend_verdicts(self, tmp_path, result):
-        jsonl = ResultStore(tmp_path / "a.jsonl")
-        sqlite = ArtifactStore(tmp_path / "a.sqlite")
-        for backend in (jsonl, sqlite):
-            backend.put(result)
+        migrated = open_store(append_jsonl(tmp_path / "a.jsonl", result))
+        direct = ArtifactStore(tmp_path / "b.sqlite")
+        direct.put(result)
         for probe in (_spec(), _spec(seed=99)):
-            assert (jsonl.get(probe) is None) == (sqlite.get(probe) is None)
+            assert (migrated.get(probe) is None) == (direct.get(probe) is None)
 
     def test_count_by_schema(self, store, result):
         store.put(result)
@@ -131,10 +125,8 @@ class TestArtifacts:
 
 class TestMigration:
     def test_migrates_every_entry_with_hashes_preserved(self, tmp_path):
-        legacy = ResultStore(tmp_path / "results.jsonl")
         results = [run_experiment(_spec(seed)) for seed in range(3)]
-        for result in results:
-            legacy.put(result)
+        append_jsonl(tmp_path / "results.jsonl", *results)
         store = ArtifactStore(tmp_path / "results.sqlite")
         migrated = migrate_jsonl(tmp_path / "results.jsonl", store)
         assert migrated == 3
@@ -144,7 +136,7 @@ class TestMigration:
             assert hit is not None and hit.summaries == result.summaries
 
     def test_migration_is_idempotent(self, tmp_path, result):
-        ResultStore(tmp_path / "results.jsonl").put(result)
+        append_jsonl(tmp_path / "results.jsonl", result)
         store = ArtifactStore(tmp_path / "results.sqlite")
         assert migrate_jsonl(tmp_path / "results.jsonl", store) == 1
         assert migrate_jsonl(tmp_path / "results.jsonl", store) == 0
@@ -154,8 +146,7 @@ class TestMigration:
         assert migrate_jsonl(tmp_path / "absent.jsonl", store) == 0
 
     def test_tampered_hash_refused(self, tmp_path, result, store):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).put(result)
+        path = append_jsonl(tmp_path / "results.jsonl", result)
         line = json.loads(path.read_text())
         line["hash"] = "f" * 64
         path.write_text(json.dumps(line) + "\n")
@@ -164,32 +155,44 @@ class TestMigration:
 
 
 class TestOpenStore:
-    def test_jsonl_suffix_selects_legacy_backend(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "r.jsonl"), ResultStore)
+    def test_jsonl_suffix_opens_the_sqlite_sibling(self, tmp_path):
+        store = open_store(tmp_path / "r.jsonl")
+        assert isinstance(store, ArtifactStore)
+        assert store.path == tmp_path / "r.sqlite"
+        assert not (tmp_path / "r.jsonl").exists()  # Nothing writes JSONL any more.
 
     def test_default_suffix_selects_sqlite(self, tmp_path):
         assert isinstance(open_store(tmp_path / "r.sqlite"), ArtifactStore)
 
     def test_auto_migrates_legacy_sibling_once(self, tmp_path, result):
-        ResultStore(tmp_path / "results.jsonl").put(result)
+        append_jsonl(tmp_path / "results.jsonl", result)
         store = open_store(tmp_path / "results.sqlite")
         assert store.get(_spec()) is not None
         receipt = store.get_meta("migrated:results.jsonl")
         assert json.loads(receipt)["migrated"] == 1
         # Second open does not rescan (receipt unchanged even if the jsonl grew).
-        ResultStore(tmp_path / "results.jsonl").put(run_experiment(_spec(seed=5)))
+        append_jsonl(tmp_path / "results.jsonl", run_experiment(_spec(seed=5)))
         reopened = open_store(tmp_path / "results.sqlite")
         assert json.loads(reopened.get_meta("migrated:results.jsonl"))["migrated"] == 1
 
-    def test_auto_migration_is_quiet_about_stale_lines(self, tmp_path, result):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).put(result)
+    def test_auto_migration_warns_once_about_stale_lines(self, tmp_path, result):
+        # The migration is the only reader of JSONL stores, so it is the only place a
+        # user can learn why those points now miss the cache.
+        path = append_jsonl(tmp_path / "results.jsonl", result)
         with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"hash": "deadbeef", "spec": {"schema": 1}, "summaries": []}\n')
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # The legacy loader's warning must not escape.
+            for stale_hash in ("deadbeef", "feedface"):
+                handle.write(
+                    f'{{"hash": "{stale_hash}", "spec": {{"schema": 1}}, "summaries": []}}\n'
+                )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             store = open_store(tmp_path / "results.sqlite")
+        (warning,) = [w for w in caught if issubclass(w.category, StaleResultWarning)]
+        assert "skipped 2 stale line(s) with spec schema 1" in str(warning.message)
+        assert "reads schema 3" in str(warning.message)
         assert len(store) == 1
+        receipt = json.loads(store.get_meta("migrated:results.jsonl"))
+        assert (receipt["migrated"], receipt["skipped"]) == (1, 2)
 
 
 class TestLegacyFixture:
@@ -209,6 +212,14 @@ class TestLegacyFixture:
         assert first["elapsed_s"] != last["elapsed_s"]
         assert stale["spec"]["schema"] == 1 and stale["hash"] != first["hash"]
 
+    def test_test_writer_matches_the_fixture_format(self, tmp_path):
+        # The tests' JSONL writer must produce the retired writer's lines byte for byte.
+        first = LEGACY_FIXTURE.read_text().splitlines()[0]
+        rewritten = append_jsonl(
+            tmp_path / "r.jsonl", ExperimentResult.from_dict(json.loads(first))
+        )
+        assert rewritten.read_text() == first + "\n"
+
     def test_migrate_jsonl_keeps_the_last_current_line(self, legacy, store, result):
         _first, last, stale = (json.loads(line) for line in legacy.read_text().splitlines())
         with pytest.warns(StaleResultWarning, match="schema 1"):
@@ -225,3 +236,5 @@ class TestLegacyFixture:
         assert hit is not None and hit.cached
         assert hit.summaries == result.summaries
         assert len(store) == 1
+        receipt = json.loads(store.get_meta("migrated:results.jsonl"))
+        assert (receipt["migrated"], receipt["skipped"]) == (1, 1)

@@ -1,10 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
+from legacy_jsonl import LEGACY_FIXTURE, append_jsonl
 from repro.cli import main
+from repro.experiments.runner import StaleResultWarning, run_experiment
+from repro.experiments.spec import ExperimentSpec
+from repro.sim.scenarios import ScenarioSpec
 
 
 def _run(args, capsys):
@@ -494,21 +499,6 @@ class TestService:
         assert "pinned to 2" in err
 
 
-class TestStoreBenchCLI:
-    def test_store_suite_writes_record(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_store.json"
-        code, out, _err = _run(
-            ["bench", "--suite", "store", "--entries", "50", "--lookups", "10",
-             "--output", str(output), "--warehouse", str(tmp_path / "wh")],
-            capsys,
-        )
-        assert code == 0
-        assert "sqlite" in out and "jsonl" in out
-        record = json.loads(output.read_text())
-        assert record["benchmark"] == "store"
-        assert record["entries"] == 50
-
-
 class TestSqliteStoreCLI:
     def test_run_uses_the_sqlite_store_by_default_backend(self, tmp_path, capsys):
         store = tmp_path / "results.sqlite"
@@ -520,12 +510,25 @@ class TestSqliteStoreCLI:
         assert code == 0 and "1 from cache" in out
 
     def test_legacy_jsonl_sibling_is_migrated_in(self, tmp_path, capsys):
+        spec = ExperimentSpec(
+            scenario=ScenarioSpec(num_devices=25, max_rounds=4), policy="fedavg-random"
+        )
+        append_jsonl(tmp_path / "results.jsonl", run_experiment(spec))
         args = ["run", "--policy", "fedavg-random", "--devices", "25", "--rounds", "4"]
-        code, _out, _err = _run([*args, "--store", str(tmp_path / "results.jsonl")], capsys)
-        assert code == 0
         code, out, _err = _run([*args, "--store", str(tmp_path / "results.sqlite")], capsys)
         assert code == 0
         assert "1 from cache, 0 executed" in out  # served by the migrated entry
+
+    def test_jsonl_store_path_serves_the_migrated_entry(self, tmp_path, capsys):
+        # An old command line naming the JSONL file keeps hitting its cached points.
+        shutil.copyfile(LEGACY_FIXTURE, tmp_path / "results.jsonl")
+        args = ["run", "--policy", "fedavg-random", "--devices", "25", "--rounds", "4",
+                "--store", str(tmp_path / "results.jsonl")]
+        with pytest.warns(StaleResultWarning):
+            code, out, _err = _run(args, capsys)
+        assert code == 0
+        assert "1 from cache, 0 executed" in out
+        assert (tmp_path / "results.sqlite").exists()
 
 
 class TestOutputFormats:
