@@ -312,11 +312,18 @@ class Warehouse:
         :class:`~repro.service.store.ShardedStore`, or a path understood by
         :func:`~repro.service.store.open_store` (so a ``.jsonl`` file of the retired
         flat-file store is migrated, then ingested).  Summaries land in the ``runs``
-        table, one row per seed replica.
+        table, one row per seed replica.  A path that names no store raises
+        :class:`~repro.exceptions.AnalyticsError` and creates nothing, so a mistyped
+        path cannot pass as an empty store.
         """
         if isinstance(store, (str, os.PathLike)):
-            from repro.service.store import open_store
+            from repro.service.store import open_store, store_exists
 
+            if not store_exists(store):
+                raise AnalyticsError(
+                    f"no result store at {store}: no SQLite file, shard directory or "
+                    ".jsonl file to migrate"
+                )
             store = open_store(store)
         rows: list[dict] = []
         for result, preset in store.iter_results():

@@ -457,6 +457,22 @@ def _migrate(
     return migrated, skipped
 
 
+def store_exists(path: str | os.PathLike) -> bool:
+    """True when :func:`open_store` would open an existing store instead of creating one.
+
+    That is a SQLite file or a shard directory at the path (a ``.jsonl`` path names its
+    ``.sqlite`` sibling), or a ``.jsonl`` file beside it for the first open to migrate.
+    """
+    path = Path(path)
+    if path.suffix == ".jsonl":
+        path = path.with_suffix(".sqlite")
+    return (
+        path.is_file()
+        or (path / ShardedStore.MANIFEST).is_file()
+        or path.with_suffix(".jsonl").is_file()
+    )
+
+
 def open_store(path: str | os.PathLike, shards: int | None = None) -> StoreBackend:
     """Open a result store, picking the layout from the path (and ``shards``).
 

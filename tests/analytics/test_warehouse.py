@@ -141,6 +141,19 @@ class TestIngestStore:
         assert set(columns["source"].astype(str)) == {"store"}
         assert set(columns["label"].astype(str)) == {"baseline"}
 
+    def test_sqlite_path_beside_a_jsonl_file_migrates_and_ingests(self, tmp_path, small_spec):
+        path, spec = self._populated_store(tmp_path, small_spec, "jsonl")
+        warehouse = Warehouse(tmp_path / "wh", backend="numpy")
+        assert warehouse.ingest_store(path.with_suffix(".sqlite")) == spec.n_seeds
+
+    @pytest.mark.parametrize("name", ["typo.sqlite", "typo.jsonl", "typo-shards"])
+    def test_missing_store_path_raises_and_creates_nothing(self, tmp_path, name):
+        warehouse = Warehouse(tmp_path / "wh", backend="numpy")
+        with pytest.raises(AnalyticsError, match="no result store"):
+            warehouse.ingest_store(tmp_path / name, label="x")
+        assert [path.name for path in tmp_path.iterdir() if path.name != "wh"] == []
+        assert warehouse.num_rows("runs") == 0
+
     def test_preset_column_carries_the_store_preset(self, tmp_path, small_spec):
         import dataclasses
 

@@ -599,6 +599,13 @@ class TestAnalyticsCLI:
         assert code == 2
         assert "nothing to ingest" in err
 
+    def test_ingest_of_a_missing_store_fails_and_creates_nothing(self, tmp_path, capsys, wh):
+        typo = tmp_path / "typo.sqlite"
+        code, _out, err = _run(["ingest", "--store", str(typo), "--label", "x", *wh], capsys)
+        assert code == 2
+        assert f"no result store at {typo}" in err
+        assert not typo.exists()
+
     def test_query_json_output(self, capsys, wh, ingested):
         code, out, _err = _run(
             ["query", "--table", "runs", "--group-by", "policy",
