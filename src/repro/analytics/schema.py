@@ -366,9 +366,9 @@ def run_rows_from_experiment(
 def bench_rows_from_record(record: Mapping) -> list[dict]:
     """Flatten one ``BENCH_*.json`` record into ``bench`` rows.
 
-    The round-engine suite contributes one row per timed fleet size; the store suite
-    one row per backend.  Unknown record shapes raise instead of silently ingesting
-    unqueryable rows.
+    The round-engine suite contributes one row per timed fleet size; a store-suite
+    record (written before that suite was retired) one row per backend.  Unknown
+    record shapes raise instead of silently ingesting unqueryable rows.
     """
     provenance = record.get("provenance", {}) or {}
     base = {
