@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from legacy_jsonl import append_jsonl
 from repro.analytics import Warehouse, get_backend, have_pyarrow
 from repro.analytics.warehouse import MANIFEST_FILENAME, NumpyBackend
-from legacy_jsonl import append_jsonl
 from repro.exceptions import AnalyticsError
 from repro.experiments.runner import BatchRunner, run_experiment
 from repro.service.store import ArtifactStore

@@ -68,3 +68,29 @@ def small_backend(small_environment):
 def device_specs():
     """The three tier specs as a dict for parametrised tests."""
     return {"high": MI8_PRO, "mid": GALAXY_S10E, "low": MOTO_X_FORCE}
+
+
+class DictStore:
+    """In-memory ``StoreBackend``: spec-hash keyed ``get``/``put`` and nothing else."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def get(self, spec):
+        key = spec if isinstance(spec, str) else spec.spec_hash()
+        return self.rows.get(key)
+
+    def put(self, result):
+        self.rows[result.spec.spec_hash()] = result
+
+    def __contains__(self, spec):
+        return self.get(spec) is not None
+
+    def __len__(self):
+        return len(self.rows)
+
+
+@pytest.fixture
+def dict_store() -> DictStore:
+    """An empty in-memory result store (no artifacts, no presets)."""
+    return DictStore()

@@ -336,28 +336,10 @@ class TestStoreBackendProtocol:
         # A .jsonl path opens its SQLite sibling, which is a StoreBackend like any other.
         assert isinstance(open_store(tmp_path / "results.jsonl"), StoreBackend)
 
-    def test_any_backend_works_as_the_runner_cache(self, base):
-        class DictStore:
-            def __init__(self):
-                self.rows = {}
-
-            def get(self, spec):
-                key = spec if isinstance(spec, str) else spec.spec_hash()
-                return self.rows.get(key)
-
-            def put(self, result):
-                self.rows[result.spec.spec_hash()] = result
-
-            def __contains__(self, spec):
-                return self.get(spec) is not None
-
-            def __len__(self):
-                return len(self.rows)
-
-        store = DictStore()
-        assert isinstance(store, StoreBackend)
-        first = BatchRunner(store=store).run([base])
-        second = BatchRunner(store=store).run([base])
+    def test_any_backend_works_as_the_runner_cache(self, base, dict_store):
+        assert isinstance(dict_store, StoreBackend)
+        first = BatchRunner(store=dict_store).run([base])
+        second = BatchRunner(store=dict_store).run([base])
         assert first.executed == 1 and second.cache_hits == 1
 
 

@@ -80,31 +80,13 @@ class TestDrain:
         started = [e["job_id"] for e in events.read() if e["event"] == "job_started"]
         assert started == [high, low]
 
-    def test_shares_one_cache_with_the_batch_runner_protocol(self, queue, events, tmp_path):
-        # Any StoreBackend works: an in-memory double serves the scheduler too.
-        class DictStore:
-            def __init__(self):
-                self.rows = {}
-
-            def get(self, spec):
-                key = spec if isinstance(spec, str) else spec.spec_hash()
-                return self.rows.get(key)
-
-            def put(self, result):
-                self.rows[result.spec.spec_hash()] = result
-
-            def __contains__(self, spec):
-                return self.get(spec) is not None
-
-            def __len__(self):
-                return len(self.rows)
-
-        store = DictStore()
-        scheduler = Scheduler(queue, store, events, poll_s=0.05)
+    def test_shares_one_cache_with_the_batch_runner_protocol(self, queue, events, dict_store):
+        # Any StoreBackend works, also one without artifacts or presets.
+        scheduler = Scheduler(queue, dict_store, events, poll_s=0.05)
         queue.submit(make_job(_spec()))
         scheduler.serve(workers=1, drain=True)
-        assert len(store) == 1
-        assert BatchRunner(store=store).run([_spec()]).cache_hits == 1
+        assert len(dict_store) == 1
+        assert BatchRunner(store=dict_store).run([_spec()]).cache_hits == 1
 
 
 class TestFailures:
