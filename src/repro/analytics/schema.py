@@ -133,7 +133,7 @@ BENCH_COLUMNS: tuple[Column, ...] = _columns(
     ("rounds", "num"),
     ("serial_wall_s", "num"),
     ("replicated_wall_s", "num"),
-    # Store suite measurements (one row per backend).
+    # Store-suite measurements of historical BENCH_store.json records (one row per backend).
     ("backend", "str"),
     ("entries", "num"),
     ("inserts_per_s", "num"),
