@@ -11,7 +11,7 @@ orchestration service:
 * ``serve``    — run a scheduler worker pool against the shared queue and store;
 * ``status``   — job table (or one job's detail) from the queue directory;
 * ``watch``    — tail the service's structured event stream (``-f`` to follow,
-  ``--http`` to consume a ``serve --events-port`` long-poll endpoint);
+  ``--http`` to consume the ``/events`` long-poll of a ``serve --port`` server);
 * ``events``   — ``events sub``: durable-cursor subscription printing JSON lines,
   from the local log or an ``/events`` endpoint;
 * ``webhooks`` — register/list/remove/test signed HTTP event callbacks;
@@ -58,7 +58,7 @@ Examples
     python -m repro submit --scenario fleet-1k --priority 5 --retries 1
     python -m repro submit --scenario fleet-1k --lane team-a --weight 3
     python -m repro serve --workers 4
-    python -m repro serve --workers 4 --metrics-port 9100
+    python -m repro serve --workers 4 --port 9100 --telemetry
     python -m repro serve --workers 4 --store .repro-shards --store-shards 4
     python -m repro status --json
     python -m repro status --by-lane
@@ -130,10 +130,10 @@ from repro.service import (
     AdmissionPolicy,
     EventBus,
     EventLog,
-    EventPlaneServer,
     JobQueue,
     JobState,
     Scheduler,
+    ServiceHttpServer,
     WebhookDispatcher,
     WebhookRegistry,
     deliver_once,
@@ -152,7 +152,7 @@ from repro.sim.bench import (
     run_roundengine_bench,
 )
 from repro.sim.scenarios import ScenarioSpec, get_scenario_preset
-from repro.telemetry import METRICS_FILENAME, MetricsServer
+from repro.telemetry import METRICS_FILENAME
 from repro.validation import (
     DEFAULT_GOLDEN_DIR,
     GOLDEN_MAX_ROUNDS,
@@ -552,14 +552,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_store_p95_s=args.max_store_p95,
             )
             queue.set_admission(policy)
-    # --metrics-port / --trace-file imply telemetry; --telemetry turns it on without
-    # either surface (the scheduler still drops metrics.json into the service root).
-    telemetry_on = (
-        telemetry.enabled()
-        or args.telemetry
-        or args.metrics_port is not None
-        or args.trace_file is not None
-    )
+    # --trace-file implies telemetry; --port does not.  The switch is process-wide, so
+    # flipped here it would stay on for every later caller that runs serve in-process.
+    telemetry_on = telemetry.enabled() or args.telemetry or args.trace_file is not None
     if telemetry_on:
         telemetry.configure(enabled=True)
         if args.trace_file is not None:
@@ -575,19 +570,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_grace_s=args.drain_grace,
     )
     server = None
-    bus = None
-    event_server = None
     dispatcher = None
-    if args.metrics_port is not None:
-        server = MetricsServer(
-            telemetry.get_registry(), port=args.metrics_port, refresh=queue.export_gauges
-        ).start()
-        print(f"metrics: {server.url}")
-    if args.events_port is not None:
-        bus = EventBus(_events_path(args), since_cursor=None).start()
-        events.attach_bus(bus)  # In-process emits wake the follower immediately.
-        event_server = EventPlaneServer(bus, port=args.events_port).start()
-        print(f"events: {event_server.url} (+ /events/stream SSE)")
+    if args.port is not None:
+        # Bind before any thread starts, so a taken port leaves nothing running.
+        server = ServiceHttpServer(
+            EventBus(_events_path(args)),
+            telemetry.get_registry(),
+            port=args.port,
+            refresh=queue.export_gauges,
+        )
+        events.attach_bus(server.bus)  # In-process emits wake the follower immediately.
+        server.bus.start()
+        server.start()
+        print(f"http: {server.url}")
     if not args.no_webhooks:
         # The dispatcher re-reads the registry every pass, so it also picks up
         # hooks added while this serve runs; with none registered it is an idle
@@ -603,12 +598,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if dispatcher is not None:
             dispatcher.close()  # Flushes already-logged events one last time.
-        if event_server is not None:
-            event_server.close()
-        if bus is not None:
-            bus.close()
         if server is not None:
             server.close()
+            server.bus.close()
     if scheduler.signals_seen:
         print("drained on signal: in-flight work finished or was requeued", file=sys.stderr)
     return 0
@@ -1318,13 +1310,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="do not echo events to stdout"
     )
     serve_parser.add_argument(
-        "--metrics-port",
+        "--port",
+        "--events-port",
+        dest="port",
         type=int,
         default=None,
         metavar="PORT",
         help=(
-            "serve the Prometheus text exposition on this port "
-            "(0 binds an ephemeral port; implies --telemetry)"
+            "serve HTTP on this port: /metrics (with --telemetry), /healthz, the "
+            "/events long-poll and /events/stream SSE (0 binds an ephemeral port)"
         ),
     )
     serve_parser.add_argument(
@@ -1367,16 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "on SIGTERM/SIGINT, let each in-flight grid point run this long before "
             f"it is requeued without spending a retry (default {DEFAULT_DRAIN_GRACE_S:g})"
-        ),
-    )
-    serve_parser.add_argument(
-        "--events-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve the event plane on this port: GET /events long-poll and "
-            "/events/stream SSE (0 binds an ephemeral port)"
         ),
     )
     serve_parser.add_argument(
@@ -1453,7 +1437,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help=(
-            "consume from a serve --events-port long-poll endpoint instead of the "
+            "consume the /events long-poll of a serve --port server instead of the "
             "local file (e.g. http://127.0.0.1:9200)"
         ),
     )
@@ -1497,7 +1481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--http",
         default=None,
         metavar="URL",
-        help="consume from a serve --events-port endpoint instead of the local file",
+        help="consume the /events long-poll of a serve --port server instead of the local file",
     )
     sub_parser.add_argument(
         "-f", "--follow", action="store_true", help="keep waiting for new events"

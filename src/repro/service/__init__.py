@@ -18,8 +18,9 @@ that many clients can drive concurrently:
   one-shot import of retired flat-file JSONL stores;
 * :mod:`repro.service.events` — the append-only JSONL event log behind
   ``python -m repro watch``, with durable cursors and cross-process seq counters;
-* :mod:`repro.service.eventbus` — push-based fan-out over that log: in-process
-  subscriptions plus the ``/events`` long-poll and ``/events/stream`` SSE server;
+* :mod:`repro.service.eventbus` — push-based fan-out over that log, and the one HTTP
+  server of ``serve --port``: ``/metrics``, ``/healthz``, the ``/events`` long-poll and
+  the ``/events/stream`` SSE feed;
 * :mod:`repro.service.webhooks` — signed at-least-once HTTP callbacks with retry,
   backoff and a dead-letter log.
 
@@ -29,9 +30,8 @@ The CLI front-ends are ``python -m repro {serve,submit,status,watch,events,webho
 from repro.service.eventbus import (
     DEFAULT_MAX_SUBSCRIBER_QUEUE,
     EventBus,
-    EventPlaneServer,
+    ServiceHttpServer,
     Subscription,
-    follow_events,
 )
 from repro.service.events import (
     EVENT_SCHEMA_VERSION,
@@ -102,7 +102,6 @@ __all__ = [
     "EventBus",
     "EventIndex",
     "EventLog",
-    "EventPlaneServer",
     "JOB_SCHEMA_VERSION",
     "Job",
     "JobQueue",
@@ -111,6 +110,7 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "Scheduler",
     "SeqCounter",
+    "ServiceHttpServer",
     "ShardedStore",
     "Subscription",
     "TERMINAL_STATES",
@@ -121,7 +121,6 @@ __all__ = [
     "deliver_once",
     "derive_lane",
     "event_matches",
-    "follow_events",
     "format_event",
     "hash_lane",
     "make_job",

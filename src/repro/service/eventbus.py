@@ -1,4 +1,4 @@
-"""Push-based fan-out over the event log: in-process subscriptions plus HTTP.
+"""Push-based fan-out over the event log, and the one HTTP surface of ``serve``.
 
 The :class:`EventBus` runs one follower thread that tails ``events.jsonl`` with
 durable cursors (so it sees the appends of *every* process sharing the service
@@ -7,14 +7,20 @@ bounded queues.  A subscriber that stops draining its queue is dropped with a
 synthetic ``subscriber_lagged`` event rather than ever blocking the follower —
 the scheduler's emit path never waits on a slow dashboard.
 
-:class:`EventPlaneServer` exposes the bus over a stdlib HTTP thread in the style
-of :class:`repro.telemetry.MetricsServer`:
+:class:`ServiceHttpServer` is the one stdlib HTTP thread behind ``serve --port``:
 
+* ``GET /metrics`` — the Prometheus text exposition, with the queue gauges refreshed
+  at scrape time; 404 while telemetry is off (``serve --telemetry`` turns it on).
+* ``GET /healthz`` — liveness.
 * ``GET /events?cursor=N&job=...&event=...&timeout=30`` — long-poll: replies
   immediately when events past ``cursor`` exist, otherwise parks on the bus until
   one arrives or the timeout lapses.  The JSON body carries the new resume cursor.
 * ``GET /events/stream?cursor=N&job=...`` — Server-Sent Events; each frame's
   ``id:`` is the event's cursor so ``Last-Event-ID`` reconnect semantics work.
+
+On both event routes a ``cursor`` or ``limit`` that is not a non-negative integer,
+or a ``timeout`` that is not a finite number, answers 400 naming the parameter.
+Any other path answers 404 listing the four routes.
 
 ``repro events sub --http`` and ``repro watch -f --http`` are thin clients of the
 long-poll endpoint.
@@ -24,21 +30,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 from urllib.parse import parse_qs, urlsplit
 
 from repro import telemetry
-from repro.service.events import EventIndex, event_matches, read_events_since, tail_events
+from repro.exceptions import ServiceError
+from repro.service.events import EventIndex, event_matches, read_events_since
 
 __all__ = [
     "DEFAULT_MAX_SUBSCRIBER_QUEUE",
     "EventBus",
-    "EventPlaneServer",
+    "ServiceHttpServer",
     "Subscription",
 ]
 
@@ -49,7 +57,10 @@ DEFAULT_MAX_SUBSCRIBER_QUEUE = 1024
 MAX_LONG_POLL_S = 300.0
 
 #: Most events one long-poll response will carry (the cursor lets callers page).
-DEFAULT_MAX_BATCH = 500
+MAX_BATCH = 500
+
+#: The paths :class:`ServiceHttpServer` answers.
+ROUTES = ("/metrics", "/healthz", "/events", "/events/stream")
 
 
 class Subscription:
@@ -259,53 +270,71 @@ class EventBus:
             ).set(float(count))
 
 
-class EventPlaneServer:
-    """Long-poll + SSE exposition of an :class:`EventBus` (stdlib HTTP thread)."""
+class _BadQuery(ValueError):
+    """A query parameter an event route refuses; answered with 400 and this message."""
+
+
+def _param(params: dict, key: str) -> str | None:
+    values = params.get(key)
+    return values[0] if values else None
+
+
+def _count_param(params: dict, key: str, default: int) -> int:
+    raw = _param(params, key)
+    if raw is None:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadQuery(f"{key} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+class ServiceHttpServer:
+    """The one HTTP surface of a ``serve`` process, on a stdlib server thread.
+
+    It answers :data:`ROUTES`: the Prometheus exposition of ``registry`` (after
+    ``refresh``, if given, updates the live queue gauges), a health check, and the
+    long-poll and SSE feeds of ``bus``.  The constructor binds the socket and raises
+    :class:`ServiceError` when it cannot, so callers bind before they start any
+    thread; :meth:`start` serves.  ``port=0`` binds an ephemeral port, read back
+    from ``server.port``.
+    """
 
     def __init__(
         self,
         bus: EventBus,
+        registry: telemetry.MetricsRegistry,
         port: int = 0,
         host: str = "127.0.0.1",
-        max_batch: int = DEFAULT_MAX_BATCH,
+        refresh: Callable[[], object] | None = None,
     ) -> None:
         self.bus = bus
+        self.registry = registry
+        self.refresh = refresh
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 - http.server API
-                parts = urlsplit(self.path)
-                route = parts.path.rstrip("/") or "/"
-                params = parse_qs(parts.query)
-                try:
-                    if route in ("/", "/events"):
-                        outer._handle_long_poll(self, params)
-                    elif route == "/events/stream":
-                        outer._handle_stream(self, params)
-                    elif route == "/healthz":
-                        outer._respond(self, 200, b"ok\n", "text/plain; charset=utf-8")
-                    else:
-                        self.send_error(404, "unknown path (try /events)")
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # Client went away mid-write: routine for long-poll/SSE.
+                outer._route(self)
 
             def log_message(self, *args):  # noqa: A002 - silence per-request logging
                 pass
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        try:
+            self._server = ThreadingHTTPServer((host, port), Handler)
+        except OSError as exc:
+            raise ServiceError(f"cannot listen on {host}:{port}: {exc.strerror or exc}") from exc
         self._server.daemon_threads = True
         self.host = host
         self.port = self._server.server_address[1]
-        self.max_batch = max_batch
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-event-plane", daemon=True
+            target=self._server.serve_forever, name="repro-http", daemon=True
         )
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}/events"
+        return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "EventPlaneServer":
+    def start(self) -> "ServiceHttpServer":
         self._thread.start()
         return self
 
@@ -316,38 +345,68 @@ class EventPlaneServer:
 
     # -- handlers ----------------------------------------------------------
 
-    @staticmethod
-    def _param(params: dict, key: str, default=None):
-        values = params.get(key)
-        return values[0] if values else default
-
-    def _filters(self, params: dict) -> tuple[int, str | None, tuple[str, ...] | None, int]:
+    def _route(self, handler) -> None:
+        parts = urlsplit(handler.path)
+        route = parts.path.rstrip("/")
         try:
-            cursor = int(self._param(params, "cursor", 0))
+            if route == "/metrics":
+                self._handle_metrics(handler)
+            elif route == "/healthz":
+                self._respond(handler, 200, "ok\n")
+            elif route == "/events":
+                self._handle_long_poll(handler, self._query(parts.query))
+            elif route == "/events/stream":
+                self._handle_stream(handler, self._query(parts.query))
+            else:
+                self._respond(
+                    handler, 404, f"unknown path {parts.path}; routes: {' '.join(ROUTES)}\n"
+                )
+        except _BadQuery as exc:
+            self._respond(handler, 400, f"{exc}\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # Client went away mid-write: routine for long-poll/SSE.
+
+    def _query(self, query: str) -> tuple[int, str | None, tuple[str, ...] | None, int, float]:
+        """``(cursor, job, events, limit, timeout)`` of an event route's query string."""
+        params = parse_qs(query)
+        cursor = _count_param(params, "cursor", 0)
+        limit = min(max(_count_param(params, "limit", MAX_BATCH), 1), MAX_BATCH)
+        raw_timeout = _param(params, "timeout") or "0"
+        try:
+            timeout = float(raw_timeout)
         except ValueError:
-            cursor = 0
-        job = self._param(params, "job")
+            timeout = math.nan
+        if not math.isfinite(timeout):
+            # Condition.wait(nan) returns at once, so a NaN deadline would busy-spin.
+            raise _BadQuery(f"timeout must be a finite number of seconds, got {raw_timeout!r}")
         events = tuple(params["event"]) if params.get("event") else None
-        try:
-            limit = min(int(self._param(params, "limit", self.max_batch)), self.max_batch)
-        except ValueError:
-            limit = self.max_batch
-        return max(cursor, 0), job, events, max(limit, 1)
+        return cursor, _param(params, "job"), events, limit, min(timeout, MAX_LONG_POLL_S)
 
-    def _respond(self, handler, status: int, body: bytes, content_type: str) -> None:
+    @staticmethod
+    def _respond(
+        handler, status: int, body: str, content_type: str = "text/plain; charset=utf-8"
+    ) -> None:
+        data = body.encode("utf-8")
         handler.send_response(status)
         handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(body)))
+        handler.send_header("Content-Length", str(len(data)))
         handler.end_headers()
-        handler.wfile.write(body)
+        handler.wfile.write(data)
 
-    def _handle_long_poll(self, handler, params: dict) -> None:
-        cursor, job, events, limit = self._filters(params)
-        try:
-            timeout = float(self._param(params, "timeout", 0.0))
-        except ValueError:
-            timeout = 0.0
-        timeout = min(max(timeout, 0.0), MAX_LONG_POLL_S)
+    def _handle_metrics(self, handler) -> None:
+        if not self.registry.enabled:
+            self._respond(handler, 404, "metrics are off: start serve with --telemetry\n")
+            return
+        if self.refresh is not None:
+            try:
+                self.refresh()
+            except Exception:  # pragma: no cover - scrape must not die
+                pass
+        body = telemetry.render_prometheus(self.registry)
+        self._respond(handler, 200, body, "text/plain; version=0.0.4; charset=utf-8")
+
+    def _handle_long_poll(self, handler, query: tuple) -> None:
+        cursor, job, events, limit, timeout = query
         deadline = time.monotonic() + timeout
         while True:
             batch, last = read_events_since(
@@ -360,11 +419,11 @@ class EventPlaneServer:
             # just read (any later event may match), then re-read from there.
             cursor = last
             self.bus.wait_for(last, timeout=remaining)
-        body = json.dumps({"cursor": last, "events": batch}, sort_keys=True).encode("utf-8")
+        body = json.dumps({"cursor": last, "events": batch}, sort_keys=True)
         self._respond(handler, 200, body, "application/json")
 
-    def _handle_stream(self, handler, params: dict) -> None:
-        cursor, job, events, _ = self._filters(params)
+    def _handle_stream(self, handler, query: tuple) -> None:
+        cursor, job, events, _, _ = query
         # Subscribe *before* the catch-up read: anything emitted during catch-up is
         # queued, so the switchover from file replay to live feed has no gap.
         subscription = self.bus.subscribe(job=job, events=events)
@@ -401,17 +460,3 @@ class EventPlaneServer:
         frame += f"data: {json.dumps(payload, sort_keys=True)}\n\n"
         handler.wfile.write(frame.encode("utf-8"))
         handler.wfile.flush()
-
-
-def follow_events(
-    path: str | Path,
-    since_cursor: int = 0,
-    job: str | None = None,
-    events: Iterable[str] | None = None,
-    stop=None,
-    poll_s: float = 0.2,
-) -> Iterator[dict]:
-    """File-tail convenience used by the CLI when no HTTP endpoint is given."""
-    for payload in tail_events(path, follow=True, poll_s=poll_s, stop=stop, since_cursor=since_cursor):
-        if event_matches(payload, job=job, events=events):
-            yield payload

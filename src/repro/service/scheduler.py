@@ -85,7 +85,7 @@ def _child_entry(payload: dict, conn) -> None:
         }
     try:
         # Ship the child's metrics (round histograms etc.) home with the outcome; the
-        # parent merges them so ``--metrics-port`` reflects work done in children.
+        # parent merges them so ``/metrics`` reflects work done in children.
         if telemetry.enabled():
             response["metrics"] = telemetry.get_registry().snapshot()
         conn.send(response)

@@ -478,11 +478,11 @@ def open_store(path: str | os.PathLike, shards: int | None = None) -> StoreBacke
 
     A directory carrying a ``shards.json`` manifest — or any path opened with
     ``shards`` set — opens (creating if needed) a :class:`ShardedStore`, the
-    multi-host backend.  Anything else opens a single-file SQLite
-    :class:`ArtifactStore`; a path ending in ``.jsonl`` (the retired flat-file store)
-    opens its ``.sqlite`` sibling instead.  When a ``.jsonl`` file sits next to the
-    SQLite file, it is migrated in on first open and a receipt recorded in ``meta`` so
-    later opens skip the scan.
+    multi-host backend; any other directory raises :class:`ServiceError`.  Anything
+    else opens a single-file SQLite :class:`ArtifactStore`; a path ending in ``.jsonl``
+    (the retired flat-file store) opens its ``.sqlite`` sibling instead.  When a
+    ``.jsonl`` file sits next to the SQLite file, it is migrated in on first open and a
+    receipt recorded in ``meta`` so later opens skip the scan.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -491,6 +491,12 @@ def open_store(path: str | os.PathLike, shards: int | None = None) -> StoreBacke
         path = path.with_suffix(".sqlite")
     if shards is not None or (path.is_dir() and (path / ShardedStore.MANIFEST).exists()):
         return ShardedStore(path, shards=shards)
+    if path.is_dir():
+        raise ServiceError(
+            f"store {path} is a directory without a {ShardedStore.MANIFEST} manifest: "
+            "name a SQLite file, or open the directory as a sharded store with "
+            "--store-shards N"
+        )
     store = ArtifactStore(path)
     legacy = path.with_suffix(".jsonl")
     receipt_key = f"migrated:{legacy.name}"

@@ -44,7 +44,6 @@ from repro.telemetry.tracing import (
 from repro.telemetry.exporter import (
     METRICS_FILENAME,
     METRICS_HEADERS,
-    MetricsServer,
     metrics_table_rows,
     read_snapshot,
     render_prometheus,
@@ -62,7 +61,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "SpanTracer",
     "chrome_trace_events",

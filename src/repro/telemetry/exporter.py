@@ -1,12 +1,11 @@
 """Exposition surfaces for the metrics registry.
 
 * :func:`render_prometheus` — Prometheus text format 0.0.4 (``# HELP``/``# TYPE``
-  headers, cumulative ``_bucket{le=...}`` series, ``_sum``/``_count``).
+  headers, cumulative ``_bucket{le=...}`` series, ``_sum``/``_count``), served on
+  ``/metrics`` by :class:`repro.service.ServiceHttpServer` under ``serve --port``.
 * :func:`write_snapshot` / :func:`read_snapshot` — atomic JSON snapshot files; the
   scheduler drops one next to the queue after every job so ``python -m repro metrics``
   can inspect a live (or finished) service without scraping HTTP.
-* :class:`MetricsServer` — a stdlib ``http.server`` thread behind ``serve
-  --metrics-port``, answering ``/metrics`` (exposition text) and ``/healthz``.
 * :func:`metrics_table_rows` — flatten a snapshot into rows for the shared
   ``--format {table,csv,json}`` renderer.
 """
@@ -18,9 +17,8 @@ import math
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.exceptions import TelemetryError
 from repro.telemetry.metrics import MetricsRegistry
@@ -28,7 +26,6 @@ from repro.telemetry.metrics import MetricsRegistry
 __all__ = [
     "METRICS_FILENAME",
     "METRICS_HEADERS",
-    "MetricsServer",
     "metrics_table_rows",
     "read_snapshot",
     "render_prometheus",
@@ -165,76 +162,3 @@ def metrics_table_rows(entries: Iterable[Mapping]) -> list[tuple]:
                  "", "", "", "", "")
             )
     return rows
-
-
-# -- HTTP exposition -----------------------------------------------------------
-
-
-class MetricsServer:
-    """Serve ``render_prometheus`` over a daemonised stdlib HTTP server thread.
-
-    ``refresh`` (if given) runs before each scrape — the serve CLI uses it to update
-    queue gauges so ``/metrics`` reflects the on-disk queue at scrape time, not at the
-    last scheduler poll.  Pass ``port=0`` to bind an ephemeral port (tests); the bound
-    port is available as ``server.port``.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        refresh: Callable[[], None] | None = None,
-    ):
-        self.registry = registry
-        self.refresh = refresh
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                route = self.path.split("?", 1)[0].rstrip("/") or "/"
-                if route in ("/", "/metrics"):
-                    if outer.refresh is not None:
-                        try:
-                            outer.refresh()
-                        except Exception:  # pragma: no cover - scrape must not die
-                            pass
-                    body = render_prometheus(outer.registry).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                elif route == "/healthz":
-                    body = b"ok\n"
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain; charset=utf-8")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                else:
-                    self.send_error(404, "unknown path (try /metrics)")
-
-            def log_message(self, *args):  # noqa: A002 - silence per-request logging
-                pass
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self.host = host
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-metrics-server", daemon=True
-        )
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)

@@ -15,7 +15,7 @@ Design constraints (see the Observability section of the README):
 * **Snapshot / merge.** ``MetricsRegistry.snapshot()`` returns plain JSON-able dicts
   and ``merge()`` folds such a snapshot back in (counters and histograms add, gauges
   overwrite).  The scheduler uses this to ship child-process metrics through its
-  result pipe into the parent registry that backs ``--metrics-port``.
+  result pipe into the parent registry that ``serve --port`` exposes on ``/metrics``.
 """
 
 from __future__ import annotations

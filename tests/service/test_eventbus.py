@@ -1,20 +1,22 @@
-"""Tests for the event bus: in-process fan-out, long-poll/SSE server, live drains."""
+"""Tests for the event bus and the one HTTP server of ``serve``: fan-out, routes, live drains."""
 
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.experiments.spec import ExperimentSpec
-from repro.service.eventbus import EventBus, EventPlaneServer
+from repro.service.eventbus import ROUTES, EventBus, ServiceHttpServer
 from repro.service.events import EventLog, tail_events
 from repro.service.jobs import make_job
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
 from repro.service.store import ArtifactStore
 from repro.sim.scenarios import ScenarioSpec
+from repro.telemetry import MetricsRegistry
 
 
 def _spec(seed=0, devices=25, rounds=3):
@@ -44,7 +46,7 @@ def bus(path, log):
 
 @pytest.fixture
 def server(bus):
-    server = EventPlaneServer(bus).start()
+    server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
     yield server
     server.close()
 
@@ -52,6 +54,14 @@ def server(bus):
 def _get_json(url):
     with urllib.request.urlopen(url) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def _get_refused(url):
+    """``(status, body)`` of a request the server answers with an error status."""
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(url, timeout=5)
+    with caught.value as error:
+        return error.code, error.read().decode("utf-8")
 
 
 class TestBusFanOut:
@@ -115,7 +125,7 @@ class TestLongPoll:
     def test_immediate_batch_and_cursor(self, server, log):
         log.emit("a", job_id="job-1")
         log.emit("b", job_id="job-2")
-        body = _get_json(f"{server.url}?cursor=0")
+        body = _get_json(f"{server.url}/events?cursor=0")
         assert [e["event"] for e in body["events"]] == ["a", "b"]
         assert body["cursor"] == 2
 
@@ -123,11 +133,11 @@ class TestLongPoll:
         log.emit("job_started", job_id="job-1")
         log.emit("job_started", job_id="job-2")
         log.emit("job_done", job_id="job-1")
-        body = _get_json(f"{server.url}?cursor=0&job=job-1")
+        body = _get_json(f"{server.url}/events?cursor=0&job=job-1")
         assert [e["event"] for e in body["events"]] == ["job_started", "job_done"]
-        body = _get_json(f"{server.url}?cursor=0&event=job_done")
+        body = _get_json(f"{server.url}/events?cursor=0&event=job_done")
         assert [e["event"] for e in body["events"]] == ["job_done"]
-        body = _get_json(f"{server.url}?cursor=0&event=job_done&event=job_started")
+        body = _get_json(f"{server.url}/events?cursor=0&event=job_done&event=job_started")
         assert len(body["events"]) == 3
 
     def test_long_poll_parks_until_an_event_arrives(self, server, log):
@@ -135,7 +145,7 @@ class TestLongPoll:
         result = {}
 
         def poll():
-            result["body"] = _get_json(f"{server.url}?cursor=1&timeout=10")
+            result["body"] = _get_json(f"{server.url}/events?cursor=1&timeout=10")
 
         poller = threading.Thread(target=poll)
         poller.start()
@@ -147,18 +157,18 @@ class TestLongPoll:
 
     def test_timeout_returns_empty_batch_with_cursor(self, server, log):
         log.emit("only")
-        body = _get_json(f"{server.url}?cursor=1&timeout=0.2")
+        body = _get_json(f"{server.url}/events?cursor=1&timeout=0.2")
         assert body["events"] == [] and body["cursor"] == 1
 
     def test_disconnect_resume_at_saved_cursor_no_duplicates(self, server, log):
         for index in range(10):
             log.emit("tick", index=index)
-        first = _get_json(f"{server.url}?cursor=0&limit=4")
+        first = _get_json(f"{server.url}/events?cursor=0&limit=4")
         saved = first["cursor"]
         for index in range(10, 13):
             log.emit("tick", index=index)
         # A brand-new connection (simulated disconnect) resumes at the cursor.
-        rest = _get_json(f"{server.url}?cursor={saved}")
+        rest = _get_json(f"{server.url}/events?cursor={saved}")
         indices = [e["index"] for e in first["events"] + rest["events"]]
         assert indices == list(range(13))
 
@@ -203,6 +213,51 @@ class TestSSE:
         assert [f["cursor"] for f in frames] == [1, 2, 3]
 
 
+class TestOneSurface:
+    def test_all_four_routes_answer_on_one_port(self, bus, log):
+        registry = MetricsRegistry(enabled=True)
+
+        def refresh():
+            registry.gauge("repro_queue_depth").set(3.0)
+
+        server = ServiceHttpServer(bus, registry, refresh=refresh).start()
+        try:
+            log.emit("job_submitted", job_id="job-1")
+            with urllib.request.urlopen(f"{server.url}/metrics", timeout=5) as response:
+                assert "repro_queue_depth 3\n" in response.read().decode("utf-8")
+            with urllib.request.urlopen(f"{server.url}/healthz", timeout=5) as response:
+                assert response.read() == b"ok\n"
+            body = _get_json(f"{server.url}/events?cursor=0")
+            assert [e["event"] for e in body["events"]] == ["job_submitted"]
+            url = f"{server.url}/events/stream?cursor=0"
+            with urllib.request.urlopen(url, timeout=5) as response:
+                assert response.headers["Content-Type"] == "text/event-stream"
+                assert response.readline() == b"id: 1\n"
+            status, listing = _get_refused(f"{server.url}/")
+            assert status == 404
+            assert all(route in listing for route in ROUTES)
+        finally:
+            server.close()
+
+    def test_metrics_answer_404_naming_telemetry_while_it_is_off(self, server):
+        status, body = _get_refused(f"{server.url}/metrics")
+        assert status == 404 and "--telemetry" in body
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "query", ["cursor=abc", "cursor=-7", "limit=zz", "timeout=nan", "timeout=inf"]
+    )
+    def test_bad_parameter_answers_400_naming_it(self, server, query):
+        for route in ("/events", "/events/stream"):
+            started = time.monotonic()
+            status, body = _get_refused(f"{server.url}{route}?{query}")
+            assert status == 400
+            assert body.startswith(query.split("=")[0] + " must be")
+            # timeout=nan on an idle log used to busy-spin the handler, never answering.
+            assert time.monotonic() - started < 2.0
+
+
 class TestLiveDrainAcceptance:
     def test_midflight_subscriber_sees_exactly_the_file_tail(self, tmp_path, path):
         """A long-poll consumer started mid-drain with cursor=0 receives every event
@@ -216,7 +271,7 @@ class TestLiveDrainAcceptance:
             queue.submit(make_job(_spec(seed), label=f"s{seed}"))
         bus = EventBus(path, poll_s=0.05, since_cursor=0).start()
         log.attach_bus(bus)
-        server = EventPlaneServer(bus).start()
+        server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
         drain = threading.Thread(
             target=lambda: scheduler.serve(workers=2, drain=True, install_signals=False)
         )
@@ -226,7 +281,7 @@ class TestLiveDrainAcceptance:
         disconnected = False
         try:
             while True:
-                body = _get_json(f"{server.url}?cursor={cursor}&timeout=2&limit=50")
+                body = _get_json(f"{server.url}/events?cursor={cursor}&timeout=2&limit=50")
                 received.extend(body["events"])
                 cursor = body["cursor"]
                 if not disconnected and len(received) >= 4:

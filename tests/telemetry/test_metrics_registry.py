@@ -11,9 +11,9 @@ from urllib.error import HTTPError
 from urllib.request import urlopen
 
 from repro.exceptions import TelemetryError
+from repro.service import EventBus, ServiceHttpServer
 from repro.telemetry import (
     MetricsRegistry,
-    MetricsServer,
     metrics_table_rows,
     quantile_from_buckets,
     read_snapshot,
@@ -221,14 +221,17 @@ class TestPrometheusRendering:
 
 
 class TestMetricsServer:
-    def test_scrape_healthz_and_refresh_hook(self, registry):
+    def test_scrape_healthz_and_refresh_hook(self, registry, tmp_path):
         registry.counter("c").inc(2.0)
         refreshed = []
-        server = MetricsServer(
-            registry, port=0, refresh=lambda: refreshed.append(True)
+        server = ServiceHttpServer(
+            EventBus(tmp_path / "events.jsonl"),
+            registry,
+            port=0,
+            refresh=lambda: refreshed.append(True),
         ).start()
         try:
-            with urlopen(server.url, timeout=5) as response:
+            with urlopen(f"{server.url}/metrics", timeout=5) as response:
                 body = response.read().decode("utf-8")
                 content_type = response.headers["Content-Type"]
             assert "c 2\n" in body

@@ -2,11 +2,14 @@
 
 import json
 import shutil
+import socket
+import threading
+from pathlib import Path
 
 import pytest
 
 from legacy_jsonl import LEGACY_FIXTURE, append_jsonl
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments.runner import StaleResultWarning, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.sim.scenarios import ScenarioSpec
@@ -498,6 +501,31 @@ class TestService:
         assert code == 2
         assert "pinned to 2" in err
 
+    def test_events_port_is_a_second_spelling_of_port(self):
+        assert build_parser().parse_args(["serve", "--events-port", "9"]).port == 9
+        assert build_parser().parse_args(["serve", "--port", "9"]).port == 9
+
+    def test_metrics_port_is_gone(self, capsys):
+        # It used to turn telemetry on; an old command line must fail, not change meaning.
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["serve", "--metrics-port", "9"])
+        assert caught.value.code == 2
+        assert "--metrics-port" in capsys.readouterr().err
+
+    def test_taken_port_fails_before_any_thread_starts(self, capsys, svc, store):
+        threads = set(threading.enumerate())
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code, _out, err = _run(
+                ["serve", "--drain", "--quiet", "--events-port", str(port), *svc, *store],
+                capsys,
+            )
+        assert code == 2
+        assert f"error: cannot listen on 127.0.0.1:{port}" in err
+        assert set(threading.enumerate()) <= threads  # nothing left running
+
 
 class TestSqliteStoreCLI:
     def test_run_uses_the_sqlite_store_by_default_backend(self, tmp_path, capsys):
@@ -529,6 +557,22 @@ class TestSqliteStoreCLI:
         assert code == 0
         assert "1 from cache, 0 executed" in out
         assert (tmp_path / "results.sqlite").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--policy", "fedavg-random", "--devices", "25", "--rounds", "2"],
+         ["serve", "--drain", "--quiet"]],
+        ids=["run", "serve"],
+    )
+    def test_a_plain_directory_store_fails_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("somedir").mkdir()
+        code, _out, err = _run([*command, "--store", "somedir"], capsys)
+        assert code == 2
+        assert "--store-shards" in err
+        assert not any(Path("somedir").iterdir())
 
 
 class TestOutputFormats:
