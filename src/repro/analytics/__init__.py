@@ -19,21 +19,15 @@ The CLI front-ends are ``python -m repro {ingest,query,report,eval}``.
 """
 
 from repro.analytics.evals import (
-    BENCH_FLOOR_HEADERS,
     DEFAULT_THRESHOLDS,
     EVAL_HEADERS,
     REPORT_HEADERS,
-    BenchFloor,
-    BenchFloorReport,
     EvalReport,
-    FloorCheck,
     MetricComparison,
     Threshold,
     build_comparison_report,
-    parse_bench_floor,
     parse_threshold,
     relative_delta,
-    run_bench_floor_eval,
     run_regression_eval,
 )
 from repro.analytics.query import (
@@ -70,16 +64,12 @@ from repro.analytics.warehouse import (
 __all__ = [
     "AGGREGATIONS",
     "BACKENDS",
-    "BENCH_FLOOR_HEADERS",
-    "BenchFloor",
-    "BenchFloorReport",
     "DEFAULT_GROUP_BY",
     "DEFAULT_METRICS",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_WAREHOUSE_ROOT",
     "EVAL_HEADERS",
     "EvalReport",
-    "FloorCheck",
     "MetricComparison",
     "NumpyBackend",
     "ParquetBackend",
@@ -95,13 +85,11 @@ __all__ = [
     "get_backend",
     "have_pyarrow",
     "metrics_rows_from_snapshot",
-    "parse_bench_floor",
     "parse_threshold",
     "parse_where",
     "relative_delta",
     "round_rows_from_golden",
     "round_rows_from_result",
-    "run_bench_floor_eval",
     "run_query",
     "run_regression_eval",
     "run_row_from_golden",

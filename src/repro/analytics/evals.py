@@ -308,191 +308,6 @@ def run_regression_eval(
     )
 
 
-# ------------------------------------------------------------------ bench floors
-@dataclass(frozen=True)
-class BenchFloor:
-    """An absolute lower bound on one ingested ``bench`` measurement.
-
-    Unlike the label-vs-label regression eval, a floor needs no baseline ingest:
-    CI measures, ingests and checks the latest bench row against a pinned number,
-    so a throughput collapse fails the build even on the very first run.
-    """
-
-    metric: str
-    #: ``"replication"`` targets the ``roundengine-replication`` row; any other
-    #: value is a fleet size selecting the matching ``roundengine`` row.
-    selector: str
-    floor: float
-
-    @property
-    def benchmark(self) -> str:
-        """The ``bench`` table benchmark name the floor reads."""
-        return "roundengine-replication" if self.selector == "replication" else "roundengine"
-
-    @property
-    def num_devices(self) -> float | None:
-        """Fleet-size filter, or ``None`` for the replication row."""
-        return None if self.selector == "replication" else float(int(self.selector))
-
-    def describe(self) -> str:
-        """The CLI spelling of this floor, e.g. ``batch_rounds_per_s@10000``."""
-        return f"{self.metric}@{self.selector}"
-
-
-def parse_bench_floor(text: str) -> BenchFloor:
-    """Parse a CLI floor ``metric@selector=value``.
-
-    ``selector`` is a fleet size (``batch_rounds_per_s@10000=1500``) or the word
-    ``replication`` for the seed-replication row (``speedup@replication=4``).
-    """
-    head, sep, raw = text.partition("=")
-    metric, at, selector = head.strip().partition("@")
-    metric = metric.strip().replace("-", "_")
-    selector = selector.strip()
-    if not sep or not at or not metric or not selector:
-        raise AnalyticsError(
-            f"invalid bench floor {text!r}; expected metric@devices=value "
-            "(e.g. batch_rounds_per_s@10000=1500) or metric@replication=value"
-        )
-    try:
-        floor = float(raw.strip())
-    except ValueError:
-        raise AnalyticsError(f"invalid bench floor value in {text!r}") from None
-    if selector != "replication":
-        try:
-            int(selector)
-        except ValueError:
-            raise AnalyticsError(
-                f"invalid bench floor selector {selector!r} in {text!r}; "
-                "expected a fleet size or 'replication'"
-            ) from None
-    return BenchFloor(metric=metric, selector=selector, floor=floor)
-
-
-@dataclass(frozen=True)
-class FloorCheck:
-    """One bench-floor verdict: the latest measurement against its pinned floor."""
-
-    floor: BenchFloor
-    timestamp: str
-    measured: float
-    passed: bool
-
-    def as_row(self) -> tuple[object, ...]:
-        """Row representation for the report table."""
-        return (
-            self.floor.describe(),
-            self.timestamp,
-            self.measured,
-            self.floor.floor,
-            "pass" if self.passed else "FAIL",
-        )
-
-
-#: Column headers of the bench-floor report table.
-BENCH_FLOOR_HEADERS: tuple[str, ...] = (
-    "measurement",
-    "timestamp",
-    "measured",
-    "floor",
-    "verdict",
-)
-
-
-@dataclass
-class BenchFloorReport:
-    """Outcome of checking ingested bench rows against pinned floors."""
-
-    checks: list[FloorCheck]
-
-    @property
-    def ok(self) -> bool:
-        """True when every measurement sits on or above its floor."""
-        return all(check.passed for check in self.checks)
-
-    def to_dict(self) -> dict:
-        """JSON payload (the CI perf-smoke artifact format)."""
-        return {
-            "kind": "bench-floor-report",
-            "ok": self.ok,
-            "checks": [
-                {
-                    "measurement": check.floor.describe(),
-                    "metric": check.floor.metric,
-                    "selector": check.floor.selector,
-                    "timestamp": check.timestamp,
-                    "measured": check.measured,
-                    "floor": check.floor.floor,
-                    "passed": check.passed,
-                }
-                for check in self.checks
-            ],
-        }
-
-    def format(self) -> str:
-        """Human-readable verdict: the check table plus a one-line summary."""
-        from repro.experiments.reporting import format_table
-
-        lines = [format_table(BENCH_FLOOR_HEADERS, [c.as_row() for c in self.checks])]
-        failures = [c for c in self.checks if not c.passed]
-        if self.ok:
-            lines.append(f"\nbench floors OK: {len(self.checks)} measurement(s) at or above floor")
-        else:
-            lines.append(f"\nbench floors FAILED: {len(failures)} measurement(s) below floor")
-        return "\n".join(lines)
-
-
-def run_bench_floor_eval(
-    warehouse: Warehouse, floors: Sequence[BenchFloor]
-) -> BenchFloorReport:
-    """Check the most recent ingested bench measurements against absolute floors.
-
-    Each floor selects its rows from the ``bench`` table (by benchmark name and,
-    for fleet-size floors, ``num_devices``) and scores the row with the latest
-    timestamp — the measurement CI just ingested.  A floor whose selector matches
-    no ingested row raises: a typo'd metric or a bench that never ran must not
-    silently pass.
-    """
-    if not floors:
-        raise AnalyticsError("a bench-floor eval needs at least one floor")
-    columns = warehouse.table("bench")
-    checks: list[FloorCheck] = []
-    for floor in floors:
-        if floor.metric not in columns:
-            raise AnalyticsError(
-                f"unknown bench metric {floor.metric!r}; "
-                f"bench columns: {sorted(columns)}"
-            )
-        mask = columns["benchmark"].astype(str) == floor.benchmark
-        if floor.num_devices is not None:
-            with np.errstate(invalid="ignore"):
-                mask &= columns["num_devices"] == floor.num_devices
-        index = np.flatnonzero(mask)
-        if index.size == 0:
-            raise AnalyticsError(
-                f"no ingested bench rows match {floor.describe()!r}; run "
-                "`python -m repro bench` and ingest the record "
-                "(python -m repro ingest --bench BENCH_roundengine.json)"
-            )
-        timestamps = columns["timestamp"][index].astype(str)
-        latest = index[int(np.argmax(timestamps))]
-        measured = float(columns[floor.metric][latest])
-        if np.isnan(measured):
-            raise AnalyticsError(
-                f"bench metric {floor.metric!r} is NaN on the latest "
-                f"{floor.describe()!r} row; the bench record predates this metric"
-            )
-        checks.append(
-            FloorCheck(
-                floor=floor,
-                timestamp=str(timestamps[int(np.argmax(timestamps))]),
-                measured=measured,
-                passed=measured >= floor.floor,
-            )
-        )
-    return BenchFloorReport(checks=checks)
-
-
 #: Column headers of the cross-run comparison report.
 REPORT_HEADERS: tuple[str, ...] = (
     "scenario",

@@ -12,10 +12,10 @@ The warehouse holds three tables, each a set of equally-long columns:
     :class:`~repro.fl.metrics.EfficiencySummary` plus the same identity columns.
     Store ingests (which keep summaries, not trajectories) land only here.
 ``bench``
-    One row per measurement of a ``BENCH_*.json`` record (one fleet size of the
-    round-engine bench, one backend of the store bench), carrying the recorded
-    provenance (``git_sha``, numpy, platform) so perf trajectories are queryable
-    across commits.
+    One row per measurement of a historical ``BENCH_*.json`` record (one fleet size
+    of the retired round-engine bench, one backend of the retired store bench),
+    carrying the recorded provenance (``git_sha``, numpy, platform) so those perf
+    trajectories stay queryable across commits.
 
 Columns are either strings or float64 numbers; missing values are ``""`` and ``NaN``
 respectively, so every backend (Parquet or the ``.npz`` fallback) stores the same
@@ -119,7 +119,8 @@ BENCH_COLUMNS: tuple[Column, ...] = _columns(
     ("interference", "str"),
     ("network", "str"),
     ("seed", "num"),
-    # Round-engine suite measurements (one row per fleet size).
+    # Round-engine suite measurements of historical BENCH_roundengine.json records
+    # (one row per fleet size).
     ("num_devices", "num"),
     ("num_participants", "num"),
     ("scalar_rounds_per_s", "num"),
@@ -366,9 +367,10 @@ def run_rows_from_experiment(
 def bench_rows_from_record(record: Mapping) -> list[dict]:
     """Flatten one ``BENCH_*.json`` record into ``bench`` rows.
 
-    The round-engine suite contributes one row per timed fleet size; a store-suite
-    record (written before that suite was retired) one row per backend.  Unknown
-    record shapes raise instead of silently ingesting unqueryable rows.
+    A round-engine record contributes one row per timed fleet size and a store-suite
+    record one row per backend; both suites are retired, and their records stay
+    readable.  Unknown record shapes raise instead of silently ingesting unqueryable
+    rows.
     """
     provenance = record.get("provenance", {}) or {}
     base = {

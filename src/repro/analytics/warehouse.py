@@ -371,7 +371,7 @@ class Warehouse:
         return added
 
     def ingest_bench_record(self, record: dict) -> int:
-        """Register one bench record (the ``repro bench`` write-time hook)."""
+        """Register one historical ``BENCH_*.json`` record in the ``bench`` table."""
         added = self.append_rows("bench", bench_rows_from_record(record))
         self._log_ingest(str(record.get("benchmark", "bench")), "bench", added)
         self._save_manifest()

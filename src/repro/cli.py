@@ -16,8 +16,6 @@ orchestration service:
   from the local log or an ``/events`` endpoint;
 * ``webhooks`` — register/list/remove/test signed HTTP event callbacks;
 * ``cancel``   — cancel a queued job immediately, a running job cooperatively;
-* ``bench``    — performance trajectories: the vectorised round engine and seed
-  replication (``BENCH_roundengine.json``);
 * ``validate`` — the validation subsystem: ``record`` golden trajectories for scenario
   presets and shipped paths, ``check`` them bit-exactly against a fresh run (exit 1 on
   drift, with a report naming the first diverging round and field), and ``fuzz``
@@ -65,7 +63,6 @@ Examples
     python -m repro metrics
     python -m repro trace --output trace.json
     python -m repro watch -f
-    python -m repro bench --sizes 200,1000,10000
     python -m repro validate check
     python -m repro validate fuzz --budget 60 --report fuzz-report.json
     python -m repro ingest --store --goldens --label baseline
@@ -94,15 +91,12 @@ from urllib.parse import urlencode, urlsplit
 from repro import telemetry
 from repro.analytics import (
     AGGREGATIONS,
-    BENCH_FLOOR_HEADERS,
     DEFAULT_WAREHOUSE_ROOT,
     EVAL_HEADERS,
     Warehouse,
     build_comparison_report,
-    parse_bench_floor,
     parse_threshold,
     parse_where,
-    run_bench_floor_eval,
     run_query,
     run_regression_eval,
 )
@@ -142,14 +136,6 @@ from repro.service import (
     make_job,
     open_store,
     tail_events,
-)
-from repro.sim.bench import (
-    DEFAULT_BENCH_OUTPUT,
-    DEFAULT_BENCH_REPLICATES,
-    DEFAULT_BENCH_SIZES,
-    DEFAULT_REPLICATION_ROUNDS,
-    format_bench_record,
-    run_roundengine_bench,
 )
 from repro.sim.scenarios import ScenarioSpec, get_scenario_preset
 from repro.telemetry import METRICS_FILENAME
@@ -443,37 +429,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = runner.run(sweep)
     print(format_experiment_results(report.results))
     print(format_batch_footer(report))
-    return 0
-
-
-def _register_bench(args: argparse.Namespace, record: dict) -> None:
-    """Register a fresh bench record in the warehouse so ``repro query --bench`` can
-    plot rounds/s trajectories across commits via the recorded provenance."""
-    if args.no_warehouse:
-        return
-    rows = Warehouse(args.warehouse).ingest_bench_record(record)
-    print(f"registered {rows} measurement(s) in warehouse {args.warehouse}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = tuple(int(size) for size in args.sizes.split(",") if size.strip())
-    except ValueError:
-        raise ConfigurationError(f"invalid --sizes value {args.sizes!r}") from None
-    record = run_roundengine_bench(
-        sizes=sizes,
-        seed=args.seed,
-        workload=args.workload,
-        interference=args.interference,
-        network=args.network,
-        repeats=args.repeats,
-        output=args.output,
-        replicates=args.replicates,
-        replication_rounds=args.replication_rounds,
-    )
-    print(format_bench_record(record))
-    print(f"\nwrote {args.output}")
-    _register_bench(args, record)
     return 0
 
 
@@ -1081,29 +1036,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.bench_floor:
-        floors = tuple(parse_bench_floor(text) for text in args.bench_floor)
-        floor_report = run_bench_floor_eval(_warehouse(args), floors)
-        if args.format == "table":
-            print(floor_report.format())
-        else:
-            print(
-                render_rows(
-                    BENCH_FLOOR_HEADERS,
-                    [c.as_row() for c in floor_report.checks],
-                    args.format,
-                )
-            )
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(floor_report.to_dict(), handle, indent=2, sort_keys=True)
-            print(f"\nwrote {args.report}")
-        return 0 if floor_report.ok else 1
-    if not args.baseline:
-        raise ReproError(
-            "repro eval needs --baseline (label regression eval) or --bench-floor "
-            "(absolute bench floors)"
-        )
     suite = (
         tuple(name.strip() for name in args.suite.split(",") if name.strip())
         if args.suite
@@ -1188,58 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(sweep_parser)
     _add_store_arguments(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="performance benchmark: vectorised round execution and seed replication",
-    )
-    bench_parser.add_argument(
-        "--sizes",
-        default=",".join(str(size) for size in DEFAULT_BENCH_SIZES),
-        help="comma-separated fleet sizes to time",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timed rounds per phase (default: calibrated per fleet size)",
-    )
-    bench_parser.add_argument("--workload", default="cnn-mnist", help="FL workload name")
-    bench_parser.add_argument(
-        "--interference", default="moderate", help="interference scenario during the bench"
-    )
-    bench_parser.add_argument(
-        "--network", default="variable", help="network scenario during the bench"
-    )
-    bench_parser.add_argument(
-        "--replicates",
-        type=int,
-        default=DEFAULT_BENCH_REPLICATES,
-        help="seeds of the replication measurement (0 disables it)",
-    )
-    bench_parser.add_argument(
-        "--replication-rounds",
-        type=int,
-        default=DEFAULT_REPLICATION_ROUNDS,
-        help="rounds each replicate runs in the replication measurement",
-    )
-    bench_parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    bench_parser.add_argument(
-        "--output",
-        default=DEFAULT_BENCH_OUTPUT,
-        help=f"JSON file the record is written to (default: {DEFAULT_BENCH_OUTPUT})",
-    )
-    bench_parser.add_argument(
-        "--warehouse",
-        default=str(DEFAULT_WAREHOUSE_ROOT),
-        help="warehouse the record is registered in (for: repro query --bench)",
-    )
-    bench_parser.add_argument(
-        "--no-warehouse",
-        action="store_true",
-        help="write the JSON record only, without registering it in the warehouse",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     submit_parser = subparsers.add_parser(
         "submit", help="enqueue a spec, preset or sweep as a durable job for the service"
@@ -1767,18 +1647,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eval_parser.add_argument(
         "--baseline",
-        default=None,
-        help="ingest label of the known-good result set (required unless --bench-floor)",
-    )
-    eval_parser.add_argument(
-        "--bench-floor",
-        action="append",
-        metavar="METRIC@DEVICES=VALUE",
-        help=(
-            "absolute floor on an ingested bench measurement (repeatable), e.g. "
-            "batch_rounds_per_s@10000=1500 or speedup@replication=4; checks the "
-            "latest ingested row and needs no baseline label"
-        ),
+        required=True,
+        help="ingest label of the known-good result set",
     )
     eval_parser.add_argument(
         "--candidate",

@@ -62,6 +62,10 @@ MAX_BATCH = 500
 #: The paths :class:`ServiceHttpServer` answers.
 ROUTES = ("/metrics", "/healthz", "/events", "/events/stream")
 
+#: How often the server thread checks for shutdown, so the most ``close`` waits; the
+#: stdlib default of 0.5 s would hold up every ``serve --port`` exit by as much.
+SHUTDOWN_POLL_S = 0.05
+
 
 class Subscription:
     """One bounded in-process event feed handed out by :meth:`EventBus.subscribe`."""
@@ -327,7 +331,10 @@ class ServiceHttpServer:
         self.host = host
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-http", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
+            name="repro-http",
+            daemon=True,
         )
 
     @property

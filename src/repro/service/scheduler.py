@@ -128,12 +128,16 @@ class Scheduler:
             if worker_prefix is not None
             else f"{socket.gethostname()}-{os.getpid()}"
         )
-        #: Where to drop metrics snapshots (after every job and at shutdown) so
-        #: ``python -m repro metrics`` can inspect the service without scraping HTTP.
+        #: Where to drop metrics snapshots (after every job, and at shutdown once a
+        #: job ran) so ``python -m repro metrics`` can inspect the service without
+        #: scraping HTTP.
         self.metrics_path = Path(metrics_path) if metrics_path is not None else None
+        self._ran_job = False
 
     def _flush_metrics(self) -> None:
-        if self.metrics_path is not None and telemetry.enabled():
+        # A scheduler that ran no job holds queue gauges only, so it leaves the
+        # snapshot of an earlier process (and its job counters) in place.
+        if self.metrics_path is not None and self._ran_job and telemetry.enabled():
             telemetry.write_snapshot(telemetry.get_registry(), self.metrics_path)
 
     @staticmethod
@@ -253,6 +257,7 @@ class Scheduler:
                     break
                 stop.wait(self.poll_s)
                 continue
+            self._ran_job = True
             telemetry.get_tracer().record(
                 "claim",
                 category="scheduler",

@@ -120,8 +120,8 @@ class FLSimulation:
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute a single aggregation round and return its record."""
-        # The three spans mirror the bench phase names (control_plane / energy_math /
-        # feedback) so trace profiles line up with BENCH_roundengine.json numbers.
+        # The three spans name the round's phases (control_plane / energy_math /
+        # feedback); perfbench scores its own layer sums against them (phase.*.ratio).
         tracer = telemetry.get_tracer()
         with tracer.span("control_plane", category="engine", round=round_index):
             ctx, decision = self._open_round(round_index)

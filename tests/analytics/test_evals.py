@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
-    BenchFloor,
     Threshold,
     Warehouse,
     build_comparison_report,
-    parse_bench_floor,
     parse_threshold,
     relative_delta,
-    run_bench_floor_eval,
     run_regression_eval,
 )
 from repro.exceptions import AnalyticsError
@@ -188,103 +185,3 @@ class TestComparisonReport:
         warehouse.append_rows("runs", [make_run_row()])
         with pytest.raises(AnalyticsError, match="no ingested runs match"):
             build_comparison_report(warehouse, where={"policy": ["oracle"]})
-
-
-class TestBenchFloors:
-    @staticmethod
-    def _bench_warehouse(tmp_path):
-        from repro.analytics import Warehouse
-
-        warehouse = Warehouse(tmp_path / "bench-wh", backend="numpy")
-        for timestamp, rounds_per_s, replication_speedup in (
-            ("2026-01-01T00:00:00+0000", 4000.0, 6.0),
-            ("2026-02-01T00:00:00+0000", 3000.0, 5.0),
-        ):
-            warehouse.ingest_bench_record(
-                {
-                    "benchmark": "roundengine",
-                    "timestamp": timestamp,
-                    "seed": 0,
-                    "results": [
-                        {
-                            "num_devices": 10_000,
-                            "num_participants": 100,
-                            "scalar_rounds_per_s": 60.0,
-                            "batch_rounds_per_s": rounds_per_s,
-                            "speedup": rounds_per_s / 60.0,
-                        }
-                    ],
-                    "replication": {
-                        "num_devices": 1000,
-                        "num_participants": 100,
-                        "replicates": 8,
-                        "rounds": 40,
-                        "serial_wall_s": 1.0,
-                        "replicated_wall_s": 1.0 / replication_speedup,
-                        "speedup": replication_speedup,
-                    },
-                }
-            )
-        return warehouse
-
-    def test_parse_bench_floor(self):
-        floor = parse_bench_floor("batch-rounds-per-s@10000=1500")
-        assert floor == BenchFloor("batch_rounds_per_s", "10000", 1500.0)
-        assert floor.benchmark == "roundengine"
-        assert floor.num_devices == 10000.0
-        replication = parse_bench_floor("speedup@replication=4")
-        assert replication.benchmark == "roundengine-replication"
-        assert replication.num_devices is None
-
-    def test_malformed_floor_raises(self):
-        for text in ("batch_rounds_per_s=5", "x@10000", "x@ten=5", "x@10=abc"):
-            with pytest.raises(AnalyticsError):
-                parse_bench_floor(text)
-
-    def test_latest_row_scored_against_floor(self, tmp_path):
-        warehouse = self._bench_warehouse(tmp_path)
-        report = run_bench_floor_eval(
-            warehouse, [parse_bench_floor("batch_rounds_per_s@10000=2500")]
-        )
-        # The February ingest (3000 r/s) is the scored measurement, not January's 4000.
-        assert report.ok
-        assert report.checks[0].measured == 3000.0
-        failing = run_bench_floor_eval(
-            warehouse, [parse_bench_floor("batch_rounds_per_s@10000=3500")]
-        )
-        assert not failing.ok
-
-    def test_replication_floor_reads_the_replication_row(self, tmp_path):
-        warehouse = self._bench_warehouse(tmp_path)
-        report = run_bench_floor_eval(
-            warehouse, [parse_bench_floor("speedup@replication=4.5")]
-        )
-        assert report.ok
-        assert report.checks[0].measured == 5.0
-
-    def test_unmatched_selector_raises(self, tmp_path):
-        warehouse = self._bench_warehouse(tmp_path)
-        with pytest.raises(AnalyticsError, match="no ingested bench rows"):
-            run_bench_floor_eval(
-                warehouse, [parse_bench_floor("batch_rounds_per_s@999=1")]
-            )
-        with pytest.raises(AnalyticsError, match="unknown bench metric"):
-            run_bench_floor_eval(warehouse, [parse_bench_floor("nope@10000=1")])
-
-    def test_no_floors_raises(self, tmp_path):
-        warehouse = self._bench_warehouse(tmp_path)
-        with pytest.raises(AnalyticsError):
-            run_bench_floor_eval(warehouse, [])
-
-    def test_report_round_trips_to_json(self, tmp_path):
-        import json
-
-        warehouse = self._bench_warehouse(tmp_path)
-        report = run_bench_floor_eval(
-            warehouse, [parse_bench_floor("batch_rounds_per_s@10000=2500")]
-        )
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["kind"] == "bench-floor-report"
-        assert payload["ok"] is True
-        assert payload["checks"][0]["measurement"] == "batch_rounds_per_s@10000"
-        assert report.format().startswith("measurement")

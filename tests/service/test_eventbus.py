@@ -239,6 +239,15 @@ class TestOneSurface:
         finally:
             server.close()
 
+    def test_close_does_not_wait_out_a_long_poll_interval(self, bus):
+        server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
+        # One answered request puts the server thread in its select loop.
+        with urllib.request.urlopen(f"{server.url}/healthz", timeout=5) as response:
+            assert response.read() == b"ok\n"
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 0.25
+
     def test_metrics_answer_404_naming_telemetry_while_it_is_off(self, server):
         status, body = _get_refused(f"{server.url}/metrics")
         assert status == 404 and "--telemetry" in body

@@ -102,6 +102,24 @@ class TestSchedulerTelemetry:
         assert names.count("execute") == 1
         assert names.count("flush") == 1
 
+    def test_idle_serve_keeps_the_previous_snapshot(self, tmp_path, queue, events):
+        telemetry.configure(enabled=True)
+        store = ArtifactStore(tmp_path / "results.sqlite")
+        metrics_path = tmp_path / "metrics.json"
+        queue.submit(make_job(_spec()))
+        Scheduler(
+            queue, store, events, poll_s=0.05, worker_prefix="t", metrics_path=metrics_path
+        ).serve(workers=1, drain=True)
+        # A second serve process starts from an empty registry and finds no job.
+        telemetry.reset(disable=False)
+        Scheduler(
+            queue, store, events, poll_s=0.05, worker_prefix="t", metrics_path=metrics_path
+        ).serve(workers=1, drain=True)
+
+        merged = telemetry.MetricsRegistry()
+        merged.merge(telemetry.read_snapshot(metrics_path)["metrics"])
+        assert merged.counter("repro_rounds_total").value(policy="fedavg-random") == 3.0
+
     def test_terminal_job_events_carry_dur_s(self, tmp_path, queue, events):
         store = ArtifactStore(tmp_path / "results.sqlite")
         queue.submit(make_job(_spec()))

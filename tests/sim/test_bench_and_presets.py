@@ -1,60 +1,23 @@
-"""Tests for the round-engine benchmark and the large-fleet scenario presets."""
+"""Tests for benchmark provenance and the large-fleet scenario presets."""
 
-import json
+import platform
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.registry import SCENARIOS
-from repro.sim.bench import bench_fleet_size, run_roundengine_bench
+from repro.sim.bench import bench_provenance
 from repro.sim.scenarios import ScenarioSpec, build_environment, get_scenario_preset
 
 
-class TestBench:
-    def test_writes_record_and_reports_speedup(self, tmp_path):
-        output = tmp_path / "bench.json"
-        record = run_roundengine_bench(
-            sizes=(30,), repeats=2, seed=0, output=output
-        )
-        assert output.exists()
-        on_disk = json.loads(output.read_text())
-        assert on_disk["benchmark"] == "roundengine"
-        assert on_disk["results"] == record["results"]
-        # Provenance makes trajectories comparable across machines.
-        provenance = on_disk["provenance"]
-        import numpy
-        import platform as platform_module
-
-        assert provenance["python"] == platform_module.python_version()
-        assert provenance["numpy"] == numpy.__version__
+class TestBenchProvenance:
+    def test_records_interpreter_library_and_commit(self):
+        # Provenance makes benchmark numbers comparable across machines.
+        provenance = bench_provenance()
+        assert provenance["python"] == platform.python_version()
+        assert provenance["numpy"] == np.__version__
         assert provenance["platform"]
+        assert provenance["machine"] == platform.machine()
         assert "git_sha" in provenance
-        (row,) = record["results"]
-        assert row["num_devices"] == 30
-        assert row["batch_rounds_per_s"] > 0
-        assert "scalar_rounds_per_s" not in row  # The scalar engine is a test oracle.
-        # The speedup reported is seed replication's: serial seed runs vs one loop.
-        replication = record["replication"]
-        assert replication["speedup"] == pytest.approx(
-            replication["serial_wall_s"] / replication["replicated_wall_s"], rel=1e-6
-        )
-
-    def test_no_output_file_when_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        record = run_roundengine_bench(sizes=(30,), repeats=1, output=None)
-        assert not list(tmp_path.iterdir())
-        assert record["results"]
-
-    def test_rejects_tiny_fleets_and_empty_sizes(self):
-        with pytest.raises(ConfigurationError):
-            bench_fleet_size(num_devices=10)
-        with pytest.raises(ConfigurationError):
-            run_roundengine_bench(sizes=(), output=None)
-
-    def test_rejects_non_positive_repeats(self):
-        with pytest.raises(ConfigurationError):
-            bench_fleet_size(num_devices=30, repeats=0)
 
 
 class TestScenarioPresets:

@@ -248,16 +248,3 @@ def test_runner_offers_batch_feedback_first(handle_batch):
     assert policy.batch_calls == 3
     # The scalar form is materialised only when the batch form was declined.
     assert policy.scalar_calls == (0 if handle_batch else 3)
-
-
-def test_bench_replication_smoke():
-    from repro.sim.bench import bench_replication
-
-    result = bench_replication(num_devices=60, replicates=2, rounds=3)
-    assert result.replicates == 2
-    assert result.rounds == 3
-    assert result.serial_wall_s > 0
-    assert result.replicated_wall_s > 0
-    assert result.speedup == pytest.approx(
-        result.serial_wall_s / result.replicated_wall_s, rel=1e-6
-    )

@@ -32,6 +32,10 @@ def test_multi_seed_run_experiment_records_round_telemetry():
         replicate_rounds
     )
     assert registry.counter("repro_engine_batch_rounds_total").value() == replicate_rounds
+    # Every replicate-round ran through the one stacked engine call per round.
+    assert registry.counter("repro_engine_replicated_rounds_total").value() == (
+        replicate_rounds
+    )
 
     # One simulation span; per round, one span per phase covers every replicate.
     spans = [span for span in telemetry.get_tracer().spans() if span.category == "engine"]

@@ -38,6 +38,19 @@ class TestList:
         assert code == 2
         assert "did you mean 'policies'" in err
 
+    def test_list_scenarios_registry(self, capsys):
+        code, out, _err = _run(["list", "scenarios"], capsys)
+        assert code == 0
+        assert "fleet-1k" in out and "fleet-10k" in out
+        for preset in ("diurnal-1k", "flaky-fleet", "churn-heavy"):
+            assert preset in out
+
+    def test_list_availability_registry(self, capsys):
+        code, out, _err = _run(["list", "availability"], capsys)
+        assert code == 0
+        for process in ("always-on", "bernoulli", "markov", "diurnal", "trace"):
+            assert process in out
+
 
 class TestRun:
     def test_run_prints_metrics(self, capsys):
@@ -155,80 +168,6 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["compare", "--policies", "fedavg-random", "--seeds", "5"])
         _captured = capsys.readouterr()
-
-
-class TestBench:
-    def test_bench_writes_record_and_registers_it(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        warehouse = tmp_path / "wh"
-        code, out, _err = _run(
-            ["bench", "--sizes", "30", "--repeats", "2", "--replicates", "0",
-             "--output", str(output), "--warehouse", str(warehouse)],
-            capsys,
-        )
-        assert code == 0
-        assert "batch r/s" in out
-        assert "scalar" not in out  # The scalar engine is a test oracle, not benched.
-        assert output.exists()
-        assert "registered 1 measurement(s)" in out
-
-        from repro.analytics import Warehouse, run_query
-
-        result = run_query(Warehouse(warehouse), "bench", group_by=("benchmark",))
-        ((benchmark, *_),) = result.rows
-        assert benchmark == "roundengine"
-
-    def test_bench_replication_registers_its_own_row(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        warehouse = tmp_path / "wh"
-        code, out, _err = _run(
-            ["bench", "--sizes", "30", "--repeats", "2", "--replicates", "2",
-             "--replication-rounds", "2", "--output", str(output),
-             "--warehouse", str(warehouse)],
-            capsys,
-        )
-        assert code == 0
-        assert "replication @" in out
-        assert "registered 2 measurement(s)" in out
-
-        from repro.analytics import Warehouse, run_query
-
-        result = run_query(Warehouse(warehouse), "bench", group_by=("benchmark",))
-        assert {row[0] for row in result.rows} == {
-            "roundengine",
-            "roundengine-replication",
-        }
-
-    def test_no_warehouse_skips_registration(self, tmp_path, capsys):
-        code, out, _err = _run(
-            ["bench", "--sizes", "30", "--repeats", "1", "--replicates", "0",
-             "--output", str(tmp_path / "bench.json"), "--no-warehouse"],
-            capsys,
-        )
-        assert code == 0
-        assert "registered" not in out
-
-    def test_bench_rejects_malformed_sizes(self, tmp_path, capsys):
-        code, _out, err = _run(
-            ["bench", "--sizes", "30,abc", "--output", str(tmp_path / "bench.json"),
-             "--no-warehouse"],
-            capsys,
-        )
-        assert code == 2
-        assert "invalid --sizes" in err
-
-    def test_list_scenarios_registry(self, capsys):
-        code, out, _err = _run(["list", "scenarios"], capsys)
-        assert code == 0
-        assert "fleet-1k" in out and "fleet-10k" in out
-        for preset in ("diurnal-1k", "flaky-fleet", "churn-heavy"):
-            assert preset in out
-
-    def test_list_availability_registry(self, capsys):
-        code, out, _err = _run(["list", "availability"], capsys)
-        assert code == 0
-        for process in ("always-on", "bernoulli", "markov", "diurnal", "trace"):
-            assert process in out
 
 
 class TestValidate:
@@ -751,6 +690,12 @@ class TestAnalyticsCLI:
         code, _out, err = _run(["eval", "--baseline", "nope", *wh], capsys)
         assert code == 2
         assert "ingested labels" in err
+
+    def test_eval_requires_a_baseline_label(self, capsys, wh):
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", *wh])
+        assert exited.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
 
     def test_ingest_goldens_and_query_rounds(self, capsys, wh):
         from pathlib import Path
