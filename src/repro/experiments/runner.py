@@ -21,6 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro import telemetry
 from repro.core.selection import make_policy
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.experiments.spec import ExperimentSpec, Sweep
@@ -161,9 +162,12 @@ def run_experiment(spec: ExperimentSpec, validate: bool = False) -> ExperimentRe
         from repro.validation.invariants import InvariantAuditor
 
         auditors = [InvariantAuditor(num_devices=unit.scenario.num_devices) for unit in units]
-    results = ReplicatedSimulation(
-        [build_simulation(unit, round_observer=auditor) for unit, auditor in zip(units, auditors)]
-    ).run()
+    with telemetry.get_tracer().span("build", category="engine", seeds=len(units)):
+        sims = [
+            build_simulation(unit, round_observer=auditor)
+            for unit, auditor in zip(units, auditors)
+        ]
+    results = ReplicatedSimulation(sims).run()
     if validate:
         for auditor, result in zip(auditors, results):
             auditor.audit_result(result).raise_if_failed()

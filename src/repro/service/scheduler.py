@@ -26,10 +26,18 @@ claiming, let each in-flight grid point finish (bounded by ``drain_grace_s``, le
 still renewed), requeue the interrupted jobs without consuming an attempt, flush
 metrics and events, return.  A second signal terminates in-flight children
 immediately (the requeue still refunds the attempt).
+
+Warm children: before its first fork, ``serve`` imports the modules every job child
+would otherwise import for itself (:data:`_CHILD_IMPORTS`), so each child goes
+straight to its spec.  This relies on the ``fork`` start method (Linux's default
+before Python 3.14), under which a child inherits the parent's ``sys.modules``; under
+``spawn`` or ``forkserver`` a child starts from a fresh interpreter and the preload
+buys nothing.
 """
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import signal
@@ -62,6 +70,13 @@ DEFAULT_DRAIN_GRACE_S = 30.0
 #: the spawn itself must not interleave with another thread's spawn).
 _SPAWN_LOCK = threading.Lock()
 
+#: What a job child imports while it runs its spec, measured with ``repro.cli``
+#: loaded: numpy 2 loads both lazily, from its module ``__getattr__``.  Every
+#: simulation builds seeded generators (``numpy.random``), and every round's
+#: ``np.median`` reaches ``numpy.ma`` through the ``np.ma.isMaskedArray`` in its NaN
+#: check (from numpy 2.3 on, ``np.unique`` does too, through ``np.ma.is_masked``).
+_CHILD_IMPORTS = ("numpy.random", "numpy.ma")
+
 
 def _child_entry(payload: dict, conn) -> None:
     """Child-process entry point: run one spec and report through the pipe.
@@ -69,7 +84,19 @@ def _child_entry(payload: dict, conn) -> None:
     Never raises — every outcome (result, validation report, crash traceback) travels
     back as a tagged JSON-serialisable payload, mirroring the executor protocol.
     """
+    entered_at = time.perf_counter()
+    # The fork copied the parent's registry; ship home only what this spec records,
+    # or the parent's merge would count its own metrics a second time.
+    telemetry.get_registry().reset()
     try:
+        # perf_counter shares one timebase across fork, so the parent's stamp ends here.
+        telemetry.get_tracer().record(
+            "spawn",
+            category="scheduler",
+            start_s=payload["spawned_at"],
+            end_s=entered_at,
+            job=payload["job"],
+        )
         result = run_experiment(
             ExperimentSpec.from_dict(payload["spec"]), validate=payload.get("validate", False)
         )
@@ -180,6 +207,11 @@ class Scheduler:
         """
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
+        # Children forked from here on inherit these instead of importing them.  They
+        # are imported on this thread, before any worker starts: imported from a
+        # worker thread they would land in that thread's own malloc arena (more RSS).
+        for name in _CHILD_IMPORTS:
+            importlib.import_module(name)
         stop = stop_event if stop_event is not None else threading.Event()
         self._force_stop.clear()
         self.signals_seen = 0
@@ -250,6 +282,7 @@ class Scheduler:
                 )
             claimed_at = time.perf_counter()
             job = self.queue.claim(worker_id, self.lease_s)
+            claim_end = time.perf_counter()
             if telemetry.enabled():
                 self.queue.export_gauges()
             if job is None:
@@ -262,7 +295,7 @@ class Scheduler:
                 "claim",
                 category="scheduler",
                 start_s=claimed_at,
-                end_s=time.perf_counter(),
+                end_s=claim_end,
                 job=job.job_id,
                 worker=worker_id,
             )
@@ -498,6 +531,7 @@ class Scheduler:
         Returns the child's tagged outcome payload, or ``{"interrupted": reason}``
         when the child was terminated (``stopped``/``cancelled``/``timeout``).
         """
+        payload = {**payload, "job": job.job_id, "spawned_at": time.perf_counter()}
         context = multiprocessing.get_context()
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(target=_child_entry, args=(payload, sender), daemon=True)

@@ -332,6 +332,10 @@ class MetricsRegistry:
                 raise TelemetryError(f"cannot merge unknown instrument kind {kind!r}")
 
     def reset(self) -> None:
-        """Drop every registered instrument (test isolation helper)."""
+        """Drop every registered instrument.
+
+        Tests call it for isolation; a forked job child calls it first thing, to drop
+        the registry it copied from the parent before it records its own metrics.
+        """
         with self._lock:
             self._instruments.clear()

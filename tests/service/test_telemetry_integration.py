@@ -1,5 +1,8 @@
 """Service-layer telemetry: queue gauges, event seq/dur_s and scheduler metrics."""
 
+import time
+from collections import Counter
+
 import pytest
 
 from repro import telemetry
@@ -101,6 +104,58 @@ class TestSchedulerTelemetry:
         assert names.count("claim") == 1
         assert names.count("execute") == 1
         assert names.count("flush") == 1
+
+    def test_counts_are_exact_across_many_jobs(self, tmp_path, queue, events):
+        # Each child starts from a fork of the parent's registry, so a child that
+        # shipped its whole registry home would make every count grow with the jobs
+        # before it; only what the child itself recorded may be merged.
+        telemetry.configure(enabled=True)
+        store = ArtifactStore(tmp_path / "results.sqlite")
+        metrics_path = tmp_path / "metrics.json"
+        jobs = [make_job(_spec(seed=seed)) for seed in range(4)]
+        for job in jobs:
+            queue.submit(job)
+        Scheduler(
+            queue, store, events, poll_s=0.05, worker_prefix="t", metrics_path=metrics_path
+        ).serve(workers=1, drain=True)
+
+        rounds = sum(
+            store.get(job.specs[0].spec_hash()).summaries[0].rounds_executed for job in jobs
+        )
+        snapshot = telemetry.MetricsRegistry()
+        snapshot.merge(telemetry.read_snapshot(metrics_path)["metrics"])
+        for registry in (telemetry.get_registry(), snapshot):
+            assert registry.counter("repro_jobs_finished_total").value(state="done") == 4
+            assert registry.counter("repro_specs_total").value(outcome="executed") == 4
+            assert registry.counter("repro_rounds_total").value(policy="fedavg-random") == rounds
+            spans = registry.histogram("repro_span_s")
+            for name, cat in (("claim", "scheduler"), ("spawn", "scheduler"), ("build", "engine")):
+                assert spans.count(name=name, cat=cat) == 4, name
+        # Every event line was emitted by this process, while telemetry was on.
+        emitted = Counter(event["event"] for event in events.read())
+        assert emitted["scheduler_started"] == 1 and emitted["job_done"] == 4
+        counter = telemetry.get_registry().counter("repro_events_emitted_total")
+        assert {event: counter.value(event=event) for event in emitted} == emitted
+
+    def test_claim_span_ends_when_the_claim_returns(self, tmp_path, queue, events, monkeypatch):
+        # Exporting queue gauges is telemetry bookkeeping after the claim, not part of it.
+        telemetry.configure(enabled=True)
+        pause_s = 0.2
+        export_gauges = JobQueue.export_gauges
+
+        def slow_export_gauges(self, *args, **kwargs):
+            time.sleep(pause_s)
+            return export_gauges(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobQueue, "export_gauges", slow_export_gauges)
+        queue.submit(make_job(_spec()))
+        Scheduler(
+            queue, ArtifactStore(tmp_path / "results.sqlite"), events, poll_s=0.05,
+            worker_prefix="t",
+        ).serve(workers=1, drain=True)
+
+        (claim,) = [span for span in telemetry.get_tracer().spans() if span.name == "claim"]
+        assert claim.dur_s < pause_s
 
     def test_idle_serve_keeps_the_previous_snapshot(self, tmp_path, queue, events):
         telemetry.configure(enabled=True)

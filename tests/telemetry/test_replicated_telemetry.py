@@ -37,10 +37,14 @@ def test_multi_seed_run_experiment_records_round_telemetry():
         replicate_rounds
     )
 
-    # One simulation span; per round, one span per phase covers every replicate.
+    # One build span for every replica, then one simulation span; per round, one span
+    # per phase covers every replicate.
     spans = [span for span in telemetry.get_tracer().spans() if span.category == "engine"]
+    (build,) = [span for span in spans if span.name == "build"]
     (simulation,) = [span for span in spans if span.name == "simulation"]
-    phases = [span for span in spans if span.name != "simulation"]
+    assert build.attrs["seeds"] == SEEDS
+    assert build.end_s <= simulation.start_s
+    phases = [span for span in spans if span.name not in ("build", "simulation")]
     assert sorted({span.name for span in phases}) == ["control_plane", "energy_math", "feedback"]
     assert len(phases) == 3 * ROUNDS
     assert all(span.parent_id == simulation.span_id for span in phases)

@@ -831,6 +831,33 @@ class TestTelemetryCLI:
         names = {event["name"] for event in payload["traceEvents"]}
         assert {"control_plane", "energy_math", "feedback", "execute", "ingest"} <= names
 
+    def test_serve_trace_file_spans_spawn_and_build_inside_execute(
+        self, capsys, svc, store, tmp_path
+    ):
+        from repro import telemetry
+
+        sink = tmp_path / "spans.jsonl"
+        code, _out, _err = _run(
+            ["submit", "--devices", "25", "--rounds", "3", "--policy", "fedavg-random", *svc],
+            capsys,
+        )
+        assert code == 0
+        code, _out, _err = _run(
+            ["serve", "--workers", "1", "--drain", "--quiet", "--trace-file", str(sink),
+             *svc, *store],
+            capsys,
+        )
+        assert code == 0
+        spans = telemetry.load_spans(sink)
+        (execute,) = [span for span in spans if span.name == "execute"]
+        (spawn,) = [span for span in spans if span.name == "spawn"]
+        (build,) = [span for span in spans if span.name == "build"]
+        # The parent stamps the spawn before the fork; the child closes it on entry.
+        assert spawn.pid == build.pid != execute.pid
+        assert spawn.attrs["job"] == execute.attrs["job"]
+        assert execute.start_s <= spawn.start_s <= spawn.end_s <= build.start_s
+        assert build.end_s <= execute.end_s
+
     def test_trace_converts_an_existing_span_sink(self, capsys, tmp_path):
         from repro.telemetry import SpanTracer
 
