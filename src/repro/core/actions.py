@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.devices.device import ExecutionTarget, MobileDevice, execution_target
+from repro.devices.device import ExecutionTarget, execution_target
+from repro.devices.specs import DeviceSpec
 from repro.exceptions import PolicyError
 
 #: Reserved action id used when a device is not selected for a round (it idles).
@@ -28,10 +29,10 @@ class ActionSpec:
     #: Relative position of the DVFS step within the processor's range (1.0 = highest).
     frequency_fraction: float
 
-    def to_target(self, device: MobileDevice) -> ExecutionTarget:
-        """Concretise the action into an execution target for a specific device."""
-        spec = device.spec.processor(self.processor)
-        step = round(self.frequency_fraction * (spec.num_vf_steps - 1))
+    def to_target(self, spec: DeviceSpec) -> ExecutionTarget:
+        """Concretise the action into an execution target for a device of ``spec``."""
+        processor = spec.processor(self.processor)
+        step = round(self.frequency_fraction * (processor.num_vf_steps - 1))
         return execution_target(self.processor, int(step))
 
 
@@ -73,9 +74,9 @@ class ActionCatalog:
         except KeyError as exc:
             raise PolicyError(f"unknown action id {action_id}") from exc
 
-    def to_target(self, action_id: int, device: MobileDevice) -> ExecutionTarget:
-        """Concretise an action id into an execution target for ``device``."""
-        return self.spec(action_id).to_target(device)
+    def to_target(self, action_id: int, spec: DeviceSpec) -> ExecutionTarget:
+        """Concretise an action id into an execution target for a device of ``spec``."""
+        return self.spec(action_id).to_target(spec)
 
     def default_action_id(self) -> int:
         """The baseline action: CPU at the highest frequency."""

@@ -96,11 +96,11 @@ class AutoFLPolicy(Policy):
         global_state = self._encoder.encode_global(environment.workload, environment.global_params)
         rows = self._candidate_rows(ctx)
         local_codes = self._encoder.encode_local_codes(
-            ctx.conditions_as_arrays().take(rows), environment.class_fraction_array[rows]
+            ctx.conditions_as_arrays().take(rows), environment.data_profiles.class_fraction[rows]
         )
         selection = agent.select(global_state, rows, local_codes, effective_num_participants(ctx))
         targets = {
-            device_id: self._catalog.to_target(action_id, environment.fleet[device_id])
+            device_id: self._catalog.to_target(action_id, environment.fleet.spec_of(device_id))
             for device_id, action_id in selection.actions.items()
         }
         return SelectionDecision(participants=selection.participant_ids, targets=targets)

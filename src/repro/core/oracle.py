@@ -118,7 +118,7 @@ class OracleParticipantPolicy(Policy):
         conditions = ctx.conditions_as_arrays()
         network_score = np.minimum(1.0, conditions.bandwidth_mbps / 100.0)
         goodness = (
-            self.DATA_WEIGHT * environment.data_quality_array
+            self.DATA_WEIGHT * environment.data_profiles.data_quality
             - self.INTERFERENCE_WEIGHT
             * (conditions.co_cpu_util + 0.5 * conditions.co_mem_util)
             + self.NETWORK_WEIGHT * network_score
@@ -140,8 +140,8 @@ class OracleParticipantPolicy(Policy):
         return _RoundCache(
             arrays=arrays,
             conditions=conditions,
-            data_quality=environment.data_quality_array,
-            data_samples=environment.data_samples_array,
+            data_quality=environment.data_profiles.data_quality,
+            data_samples=environment.data_profiles.num_samples,
             goodness=goodness,
             ranked_by_tier=ranked_by_tier,
             ranked_all=ranked_all,

@@ -3,21 +3,23 @@
 Running 200-device, 1000-round experiments does not require materialising every device's
 raw samples — what the simulator, the surrogate convergence model and the AutoFL state
 features need per device is (a) how many local samples it holds, (b) how many of the global
-classes it covers and (c) how balanced its local class mix is.  A
-:class:`DeviceDataProfile` captures exactly that, and can be derived either from a real
-:class:`~repro.data.federated.FederatedDataset` or synthesised directly from a
+classes it covers and (c) how balanced its local class mix is.  :class:`DataProfileArrays`
+holds that as arrays, read as a mapping of :class:`DeviceDataProfile` views, derived either
+from a real :class:`~repro.data.federated.FederatedDataset` or synthesised directly from a
 heterogeneity scenario (the paper's Ideal IID / Non-IID(M%) settings).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.federated import FederatedDataset
 from repro.data.partition import DIRICHLET_CONCENTRATION, DataDistribution
+from repro.devices.fleet_arrays import DeviceIndex, read_only_array
 from repro.exceptions import DataError
 
 #: Dirichlet concentration of an IID device's class mix: near-uniform with mild noise.
@@ -56,29 +58,87 @@ class DeviceDataProfile:
         return 0.5 * self.class_fraction + 0.5 * self.balance_score
 
 
-def profiles_from_federated_dataset(dataset: FederatedDataset) -> dict[int, DeviceDataProfile]:
-    """Derive per-device profiles from a materialised federated dataset."""
-    profiles: dict[int, DeviceDataProfile] = {}
-    for device_id in dataset.device_ids:
-        shard = dataset.shard(device_id)
-        profiles[device_id] = DeviceDataProfile(
-            device_id=device_id,
-            num_samples=shard.num_samples,
-            class_fraction=shard.class_fraction,
-            balance_score=shard.balance_score(),
-            is_non_iid=shard.is_non_iid,
+class DataProfileArrays(Mapping[int, DeviceDataProfile]):
+    """Every device's data profile as arrays in device order, read as a mapping.
+
+    The arrays are validated once, with :class:`DeviceDataProfile`'s rules, and are
+    read-only.  Looking up a device id builds its :class:`DeviceDataProfile` view, so
+    consumers that read the arrays never pay for per-device objects.
+    """
+
+    def __init__(
+        self,
+        device_ids: Sequence[int] | np.ndarray,
+        num_samples: Sequence[int] | np.ndarray,
+        class_fraction: Sequence[float] | np.ndarray,
+        balance_score: Sequence[float] | np.ndarray,
+        is_non_iid: Sequence[bool] | np.ndarray,
+    ) -> None:
+        self.device_ids = read_only_array(device_ids, np.int64)
+        self.num_samples = read_only_array(num_samples, np.int64)
+        self.class_fraction = read_only_array(class_fraction, np.float64)
+        self.balance_score = read_only_array(balance_score, np.float64)
+        self.is_non_iid = read_only_array(is_non_iid, bool)
+        n = len(self.device_ids)
+        if n == 0:
+            raise DataError("device_ids must be non-empty")
+        columns = (self.num_samples, self.class_fraction, self.balance_score, self.is_non_iid)
+        if any(column.shape != (n,) for column in (self.device_ids, *columns)):
+            raise DataError("profile arrays need one entry per device")
+        self._index = DeviceIndex(self.device_ids)
+        if not self._index.unique:
+            raise DataError("device_ids must be unique")
+        if self.num_samples.min() < 0:
+            raise DataError("num_samples must be non-negative")
+        for name in ("class_fraction", "balance_score"):
+            scores = getattr(self, name)
+            if not ((scores >= 0.0) & (scores <= 1.0)).all():
+                raise DataError(f"{name} must be in [0, 1]")
+        #: Per-device :attr:`DeviceDataProfile.data_quality`, the same bits.
+        self.data_quality = 0.5 * self.class_fraction + 0.5 * self.balance_score
+        self.data_quality.setflags(write=False)
+
+    def __getitem__(self, device_id: int) -> DeviceDataProfile:
+        row = self._index.row(device_id)  # Raises KeyError for unknown ids, like a dict.
+        return DeviceDataProfile(
+            device_id=int(self.device_ids[row]),
+            num_samples=int(self.num_samples[row]),
+            class_fraction=float(self.class_fraction[row]),
+            balance_score=float(self.balance_score[row]),
+            is_non_iid=bool(self.is_non_iid[row]),
         )
-    return profiles
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.device_ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    def rows_for(self, device_ids: Sequence[int]) -> np.ndarray:
+        """Rows of the given device ids; raises :class:`KeyError` naming an unknown id."""
+        return self._index.rows(device_ids)
+
+
+def profiles_from_federated_dataset(dataset: FederatedDataset) -> DataProfileArrays:
+    """Derive per-device profiles from a materialised federated dataset."""
+    shards = [dataset.shard(device_id) for device_id in dataset.device_ids]
+    return DataProfileArrays(
+        device_ids=dataset.device_ids,
+        num_samples=[shard.num_samples for shard in shards],
+        class_fraction=[shard.class_fraction for shard in shards],
+        balance_score=[shard.balance_score() for shard in shards],
+        is_non_iid=[shard.is_non_iid for shard in shards],
+    )
 
 
 def synthesize_data_profiles(
-    device_ids: list[int],
+    device_ids: Sequence[int] | np.ndarray,
     distribution: DataDistribution | str,
     num_classes: int,
     samples_per_device: int,
     rng: np.random.Generator,
     concentration: float = DIRICHLET_CONCENTRATION,
-) -> dict[int, DeviceDataProfile]:
+) -> DataProfileArrays:
     """Synthesise per-device profiles for a heterogeneity scenario without raw data.
 
     Non-IID devices draw their class mix from ``Dirichlet(concentration)`` over the global
@@ -88,7 +148,8 @@ def synthesize_data_profiles(
     Each device, in ``device_ids`` order, draws its shard size, its class mix and its
     per-class counts from ``rng``; the coverage and balance statistics are then computed
     for the whole fleet with array operations.  The draws, and every statistic's bits,
-    are those of drawing and summarising one device at a time.
+    are those of drawing and summarising one device at a time.  Empty or duplicate ids
+    are rejected once the arrays are built, by :class:`DataProfileArrays`.
     """
     if num_classes < 2:
         raise DataError("num_classes must be >= 2")
@@ -98,10 +159,6 @@ def synthesize_data_profiles(
         raise DataError(f"concentration must be a finite positive number, got {concentration}")
     distribution = DataDistribution.from_name(distribution)
     num_devices = len(device_ids)
-    if num_devices == 0:
-        raise DataError("device_ids must be non-empty")
-    if len(set(device_ids)) != num_devices:
-        raise DataError("device_ids must be unique")
     num_non_iid = int(round(distribution.non_iid_fraction * num_devices))
     non_iid = np.zeros(num_devices, dtype=bool)
     if num_non_iid > 0:
@@ -123,22 +180,7 @@ def synthesize_data_profiles(
         probabilities = present_counts / num_samples[rows, None]
         entropy[rows] = -(probabilities * np.log(probabilities)).sum(axis=1)
     balance = np.minimum(1.0, entropy / np.log(num_classes))
-    return {
-        device_id: DeviceDataProfile(
-            device_id=device_id,
-            num_samples=samples,
-            class_fraction=fraction,
-            balance_score=score,
-            is_non_iid=is_non_iid,
-        )
-        for device_id, samples, fraction, score, is_non_iid in zip(
-            device_ids,
-            num_samples.tolist(),
-            class_fraction.tolist(),
-            balance.tolist(),
-            non_iid.tolist(),
-        )
-    }
+    return DataProfileArrays(device_ids, num_samples, class_fraction, balance, non_iid)
 
 
 def _draw_class_counts(

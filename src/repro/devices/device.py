@@ -124,14 +124,8 @@ class MobileDevice:
 
     @property
     def num_local_samples(self) -> int:
-        """Number of local training samples currently assigned to the device."""
+        """Number of local training samples the device holds."""
         return self._num_local_samples
-
-    def assign_samples(self, num_samples: int) -> None:
-        """Assign the size of the local training shard (set by the data partitioner)."""
-        if num_samples < 0:
-            raise DeviceError(f"num_samples must be non-negative, got {num_samples}")
-        self._num_local_samples = num_samples
 
     def default_target(self) -> ExecutionTarget:
         """The baseline execution target: CPU at the highest frequency."""

@@ -8,9 +8,9 @@ accounting for thousands of devices collapse into a handful of array expressions
 
 Two containers live here:
 
-* :class:`FleetArrays` — an immutable snapshot of every per-device hardware quantity the
-  round engine needs (tier, per-processor peak GFLOPS / bandwidth / V-F steps / power,
-  tier power scales, shard sizes, idle and awake power).
+* :class:`FleetArrays` — every per-device hardware quantity the round engine needs
+  (tier, per-processor peak GFLOPS / bandwidth / V-F steps / power, tier power scales,
+  shard sizes, idle and awake power), gathered from a fleet's per-spec tables.
 * :class:`RoundConditionsArrays` — one aggregation round's sampled runtime conditions
   (co-runner CPU/memory utilisation and uplink bandwidth) for the whole fleet in one
   array per quantity.
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.devices.device import RoundConditions
+from repro.devices.power import awake_power
 from repro.devices.specs import DeviceTier
 from repro.exceptions import DeviceError, SimulationError
 
@@ -48,18 +49,56 @@ PROCESSOR_NAMES: dict[int, str] = {code: name for name, code in PROCESSOR_CODES.
 TIER_ORDER: tuple[DeviceTier, ...] = (DeviceTier.HIGH, DeviceTier.MID, DeviceTier.LOW)
 
 
+def read_only_array(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+class DeviceIndex:
+    """Device id -> row lookup, raising :class:`KeyError` for an unknown id.
+
+    Built fleets number their devices 0..N-1 in row order: then an id is its own row and
+    nothing is built.  Any other numbering keeps one id -> row dict.
+    """
+
+    def __init__(self, device_ids: np.ndarray) -> None:
+        self._n = n = len(device_ids)
+        contiguous = n > 0 and int(device_ids[-1]) == n - 1 and np.array_equal(
+            device_ids, np.arange(n)
+        )
+        self._row_of = None if contiguous else dict(zip(device_ids.tolist(), range(n)))
+        #: Whether no id repeats.
+        self.unique = self._row_of is None or len(self._row_of) == n
+
+    def row(self, device_id: int) -> int:
+        """The row of one device id."""
+        if self._row_of is not None:
+            return self._row_of[device_id]
+        if isinstance(device_id, (int, np.integer)) and 0 <= device_id < self._n:
+            return int(device_id)
+        raise KeyError(device_id)
+
+    def rows(self, device_ids: Sequence[int]) -> np.ndarray:
+        """The rows of several device ids, in their order."""
+        if self._row_of is not None:
+            return np.array([self._row_of[device_id] for device_id in device_ids], dtype=np.int64)
+        rows = np.array(device_ids, dtype=np.int64)
+        bad = (rows < 0) | (rows >= self._n)
+        if bad.any():
+            raise KeyError(int(rows[bad][0]))
+        return rows
+
+
 @dataclass(frozen=True)
 class FleetArrays:
-    """Immutable struct-of-arrays snapshot of a :class:`~repro.devices.fleet.Fleet`.
+    """Immutable struct-of-arrays view of a :class:`~repro.devices.fleet.Fleet`.
 
-    Every array is aligned on fleet order (row ``i`` describes ``fleet.devices[i]``).  The
-    per-processor arrays have shape ``(2, N)`` and are indexed by the processor codes
-    :data:`PROC_CPU` / :data:`PROC_GPU`, so a per-device processor choice selects its row
-    with fancy indexing: ``peak_gflops[processors, rows]``.
-
-    The snapshot includes the device shard sizes, so it must be (re)built after the data
-    partitioner assigns samples; :class:`~repro.sim.environment.EdgeCloudEnvironment`
-    builds it lazily for exactly that reason.
+    Every array is aligned on fleet order (row ``i`` describes the fleet's ``i``-th
+    device).  The per-processor arrays have shape ``(2, N)`` and are indexed by the
+    processor codes :data:`PROC_CPU` / :data:`PROC_GPU`, so a per-device processor choice
+    selects its row with fancy indexing: ``peak_gflops[processors, rows]``.
     """
 
     device_ids: np.ndarray
@@ -78,24 +117,10 @@ class FleetArrays:
 
     @classmethod
     def from_fleet(cls, fleet: "Fleet") -> "FleetArrays":
-        """Snapshot ``fleet`` (including currently assigned shard sizes) into arrays.
-
-        Devices share a handful of :class:`~repro.devices.specs.DeviceSpec` objects, so
-        every hardware field is tabulated once per distinct spec (by identity) and
-        gathered by each device's spec code; only ids and shard sizes are read per device.
-        """
-        devices = fleet.devices
+        """Gather ``fleet``'s hardware tables, one row per distinct spec, by spec code."""
+        specs, codes = fleet.specs, fleet.spec_codes
         tier_index = {tier: code for code, tier in enumerate(TIER_ORDER)}
-        code_of: dict[int, int] = {}
-        spec_devices = []  # The first device of each distinct spec, in code order.
-        spec_codes = []
-        for device in devices:
-            code = code_of.setdefault(id(device.spec), len(spec_devices))
-            if code == len(spec_devices):
-                spec_devices.append(device)
-            spec_codes.append(code)
-        codes = np.array(spec_codes, dtype=np.intp)
-        specs = [device.spec for device in spec_devices]
+        scales = [spec.training_power_scale for spec in specs]
 
         def per_spec(values: list, dtype: type = np.float64) -> np.ndarray:
             return np.array(values, dtype=dtype)[codes]
@@ -111,12 +136,17 @@ class FleetArrays:
             return np.take(table, codes, axis=1)
 
         return cls(
-            device_ids=np.array([device.device_id for device in devices], dtype=np.int64),
+            device_ids=fleet.id_array,
             tier_codes=per_spec([tier_index[spec.tier] for spec in specs], dtype=np.int8),
-            num_samples=np.array([device.num_local_samples for device in devices], dtype=np.int64),
-            training_power_scale=per_spec([spec.training_power_scale for spec in specs]),
-            idle_power_watt=per_spec([device.idle_power() for device in spec_devices]),
-            awake_power_watt=per_spec([device.awake_power() for device in spec_devices]),
+            num_samples=fleet.num_samples,
+            training_power_scale=per_spec(scales),
+            idle_power_watt=per_spec([spec.cpu.idle_power_watt for spec in specs]),
+            awake_power_watt=per_spec(
+                [
+                    awake_power(spec.cpu.peak_power_watt, spec.cpu.idle_power_watt, scale)
+                    for spec, scale in zip(specs, scales)
+                ]
+            ),
             peak_gflops=processor_array("peak_gflops"),
             mem_bandwidth_gbs=processor_array("mem_bandwidth_gbs"),
             peak_power_watt=processor_array("peak_power_watt"),
@@ -126,25 +156,7 @@ class FleetArrays:
         )
 
     def __post_init__(self) -> None:
-        n = len(self.device_ids)
-        if n == 0:
-            raise DeviceError("FleetArrays requires at least one device")
-        object.__setattr__(
-            self,
-            "_row_of",
-            {int(device_id): row for row, device_id in enumerate(self.device_ids)},
-        )
-        # Fleets number their devices 0..N-1 in fleet order, so id == row and the
-        # per-id dict walk collapses into one bounds-checked array conversion.
-        object.__setattr__(
-            self,
-            "_contiguous_ids",
-            bool(
-                int(self.device_ids[0]) == 0
-                and int(self.device_ids[-1]) == n - 1
-                and np.array_equal(self.device_ids, np.arange(n, dtype=np.int64))
-            ),
-        )
+        object.__setattr__(self, "_index", DeviceIndex(self.device_ids))
         object.__setattr__(self, "_default_vf_steps", self.num_vf_steps[PROC_CPU] - 1)
 
     def __len__(self) -> int:
@@ -152,16 +164,8 @@ class FleetArrays:
 
     def rows_for(self, device_ids: Sequence[int]) -> np.ndarray:
         """Map device ids to fleet rows, raising on unknown ids."""
-        if self._contiguous_ids:  # type: ignore[attr-defined]
-            rows = np.array(device_ids, dtype=np.int64)
-            bad = (rows < 0) | (rows >= len(self))
-            if bad.any():
-                missing = int(rows[bad][0])
-                raise DeviceError(f"no device with id {missing} in fleet")
-            return rows
-        row_of: dict[int, int] = self._row_of  # type: ignore[attr-defined]
         try:
-            return np.array([row_of[device_id] for device_id in device_ids], dtype=np.int64)
+            return self._index.rows(device_ids)  # type: ignore[attr-defined]
         except KeyError as exc:
             raise DeviceError(f"no device with id {exc.args[0]} in fleet") from None
 
@@ -247,16 +251,7 @@ class RoundConditionsArrays:
 
     def to_mapping(self, device_ids: Sequence[int]) -> dict[int, RoundConditions]:
         """Expand the arrays into the scalar per-device mapping used by policies."""
-        if len(device_ids) != len(self):
-            raise SimulationError("device_ids length does not match condition arrays")
-        return {
-            int(device_id): RoundConditions(
-                co_cpu_util=float(self.co_cpu_util[row]),
-                co_mem_util=float(self.co_mem_util[row]),
-                bandwidth_mbps=float(self.bandwidth_mbps[row]),
-            )
-            for row, device_id in enumerate(device_ids)
-        }
+        return dict(self.lazy_mapping(device_ids))
 
     def lazy_mapping(self, device_ids: Sequence[int]) -> "LazyConditionMapping":
         """A mapping view over the arrays that builds scalar objects only on access.
@@ -270,8 +265,7 @@ class RoundConditionsArrays:
 class LazyConditionMapping(Mapping[int, RoundConditions]):
     """Read-only per-device view of :class:`RoundConditionsArrays`.
 
-    Behaves like the dict :meth:`RoundConditionsArrays.to_mapping` returns, but each
-    :class:`RoundConditions` is materialised (and cached) on first access.
+    Each :class:`RoundConditions` is materialised (and cached) on first access.
     """
 
     def __init__(self, arrays: RoundConditionsArrays, device_ids: Sequence[int]) -> None:
@@ -279,25 +273,18 @@ class LazyConditionMapping(Mapping[int, RoundConditions]):
             raise SimulationError("device_ids length does not match condition arrays")
         self._arrays = arrays
         self._ids = device_ids
-        # The id list and row index are built on first scalar access: array-native
-        # consumers construct one of these views every round and never open it, so
-        # __init__ must stay O(1).
-        self._device_ids: list[int] | None = None
-        self._rows: dict[int, int] | None = None
+        # The row index is built on first scalar access: array-native consumers construct
+        # one of these views every round and never open it, so __init__ must stay O(1).
+        self._index: DeviceIndex | None = None
         self._cache: dict[int, RoundConditions] = {}
-
-    def _id_list(self) -> list[int]:
-        if self._device_ids is None:
-            self._device_ids = [int(device_id) for device_id in self._ids]
-        return self._device_ids
 
     def __getitem__(self, device_id: int) -> RoundConditions:
         cached = self._cache.get(device_id)
         if cached is not None:
             return cached
-        if self._rows is None:
-            self._rows = {did: row for row, did in enumerate(self._id_list())}
-        row = self._rows[device_id]  # Raises KeyError for unknown ids, like a dict.
+        if self._index is None:
+            self._index = DeviceIndex(np.asarray(self._ids, dtype=np.int64))
+        row = self._index.row(device_id)  # Raises KeyError for unknown ids, like a dict.
         conditions = RoundConditions(
             co_cpu_util=float(self._arrays.co_cpu_util[row]),
             co_mem_util=float(self._arrays.co_mem_util[row]),
@@ -307,7 +294,7 @@ class LazyConditionMapping(Mapping[int, RoundConditions]):
         return conditions
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._id_list())
+        return iter(np.asarray(self._ids, dtype=np.int64).tolist())
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.config import GlobalParams
 from repro.data.federated import FederatedDataset
-from repro.data.profiles import DeviceDataProfile
+from repro.data.profiles import DataProfileArrays
 from repro.exceptions import SimulationError
 from repro.fl.aggregation import Aggregator, ClientUpdate
 from repro.fl.client import FLClient
@@ -62,7 +62,7 @@ class SurrogateTrainingBackend(TrainingBackend):
     def __init__(
         self,
         workload: WorkloadProfile,
-        data_profiles: dict[int, DeviceDataProfile],
+        data_profiles: DataProfileArrays,
         aggregator: Aggregator,
         global_params: GlobalParams,
         rng: np.random.Generator | None = None,
@@ -83,12 +83,14 @@ class SurrogateTrainingBackend(TrainingBackend):
 
     def run_round(self, participant_ids: list[int]) -> RoundTrainingResult:
         previous = self._model.accuracy
+        profiles = self._data_profiles
         try:
-            profiles = [self._data_profiles[device_id] for device_id in participant_ids]
+            rows = profiles.rows_for(participant_ids)
         except KeyError as exc:
-            raise SimulationError(f"no data profile for device {exc.args[0]}") from exc
+            raise SimulationError(f"no data profile for device {exc.args[0]}") from None
         accuracy = self._model.step(
-            profiles,
+            profiles.data_quality[rows],
+            profiles.num_samples[rows],
             local_epochs=self._global_params.local_epochs,
             num_expected_participants=self._global_params.num_participants,
         )

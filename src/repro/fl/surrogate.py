@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.profiles import DeviceDataProfile
 from repro.devices.energy import sequential_sum
 from repro.exceptions import SimulationError
 from repro.nn.workloads import WorkloadProfile
@@ -69,20 +68,17 @@ class SurrogateConvergenceModel:
         """Reset the model to its untrained state."""
         self._accuracy = self._initial_accuracy
 
-    def round_quality(self, participants: list[DeviceDataProfile]) -> float:
+    def round_quality(self, data_quality: np.ndarray, num_samples: np.ndarray) -> float:
         """Sample-weighted statistical quality of a round's participant set, in ``[0, 1]``."""
-        if not participants:
-            return 0.0
-        total_samples = sum(profile.num_samples for profile in participants)
+        total_samples = int(num_samples.sum())
         if total_samples == 0:
             return 0.0
-        return sequential_sum(
-            profile.data_quality * profile.num_samples for profile in participants
-        ) / total_samples
+        return sequential_sum(data_quality * num_samples) / total_samples
 
     def step(
         self,
-        participants: list[DeviceDataProfile],
+        data_quality: np.ndarray,
+        num_samples: np.ndarray,
         local_epochs: int,
         num_expected_participants: int,
     ) -> float:
@@ -90,9 +86,9 @@ class SurrogateConvergenceModel:
 
         Parameters
         ----------
-        participants:
-            Data profiles of the devices whose updates were actually aggregated this round
-            (stragglers excluded by the protocol do not appear here).
+        data_quality, num_samples:
+            Data quality and shard size of each device whose update was actually
+            aggregated this round (stragglers excluded by the protocol do not appear here).
         local_epochs:
             The FL global parameter ``E``.
         num_expected_participants:
@@ -101,17 +97,18 @@ class SurrogateConvergenceModel:
         """
         if local_epochs <= 0 or num_expected_participants <= 0:
             raise SimulationError("local_epochs and num_expected_participants must be positive")
-        if not participants:
+        num_participants = len(num_samples)
+        if num_participants == 0:
             # No update arrived: accuracy merely drifts with evaluation noise.
             self._accuracy = self._clip(self._accuracy + self._rng.normal(0.0, self._noise_scale))
             return self._accuracy
 
-        quality = self.round_quality(participants)
+        quality = self.round_quality(data_quality, num_samples)
         # Robust aggregators recover part of the quality lost to non-IID drift.
         effective_quality = quality + self._robustness * (1.0 - quality) * 0.6
 
         epochs_factor = (local_epochs / 5.0) ** 0.5
-        participation_factor = min(1.0, len(participants) / num_expected_participants) ** 0.5
+        participation_factor = min(1.0, num_participants / num_expected_participants) ** 0.5
         headroom = self._workload.max_accuracy - self._accuracy
 
         if effective_quality < STALL_QUALITY_THRESHOLD:

@@ -38,10 +38,6 @@ class RoundContext:
     #: Policies must select participants from the online candidates only.
     online_mask: np.ndarray | None = None
 
-    @cached_property
-    def _online_id_set(self) -> frozenset[int]:
-        return frozenset(self.candidate_ids())
-
     def candidate_ids(self) -> list[int]:
         """Device ids a policy may select this round, in fleet order."""
         device_ids = self.environment.fleet.device_ids
@@ -73,12 +69,6 @@ class RoundContext:
         if self.online_mask is None:
             return len(self.environment.fleet)
         return int(np.count_nonzero(self.online_mask))
-
-    def is_online(self, device_id: int) -> bool:
-        """Whether a device is reachable (and therefore selectable) this round."""
-        if self.online_mask is None:
-            return True
-        return device_id in self._online_id_set
 
     def condition(self, device_id: int) -> RoundConditions:
         """Runtime conditions observed for one device this round."""

@@ -6,10 +6,10 @@ import numpy as np
 
 from repro.config import GlobalParams, SimulationConfig
 from repro.data.partition import DataDistribution
-from repro.data.profiles import DeviceDataProfile, synthesize_data_profiles
+from repro.data.profiles import DataProfileArrays, DeviceDataProfile, synthesize_data_profiles
 from repro.devices.device import RoundConditions
 from repro.devices.fleet import Fleet, build_fleet
-from repro.devices.fleet_arrays import TIER_ORDER, FleetArrays, RoundConditionsArrays
+from repro.devices.fleet_arrays import FleetArrays, RoundConditionsArrays
 from repro.dynamics import DYNAMICS_SEED_OFFSET, FleetDynamics
 from repro.dynamics.faults import FaultDraw
 from repro.exceptions import SimulationError
@@ -22,21 +22,21 @@ from repro.nn.workloads import WorkloadProfile, get_workload_profile
 
 
 class EdgeCloudEnvironment:
-    """All state shared by a federated-learning training job in the emulated edge cloud."""
+    """All state shared by a federated-learning training job in the emulated edge cloud.
+
+    The fleet and its data profiles are built once, as arrays; ``fleet[device_id]`` and
+    :meth:`data_profile` build per-device views on demand.
+    """
 
     def __init__(
         self,
         config: SimulationConfig,
         global_params: GlobalParams,
         workload: WorkloadProfile | str,
-        fleet: Fleet | None = None,
-        data_profiles: dict[int, DeviceDataProfile] | None = None,
+        data_profiles: DataProfileArrays | None = None,
         data_distribution: DataDistribution | str = DataDistribution.IID,
         interference: InterferenceGenerator | None = None,
         bandwidth: BandwidthModel | None = None,
-        slowdown: SlowdownModel | None = None,
-        thermal: ThermalModel | None = None,
-        communication: CommunicationModel | None = None,
         rng: np.random.Generator | None = None,
         vectorized_sampling: bool = False,
         dynamics: FleetDynamics | None = None,
@@ -46,10 +46,7 @@ class EdgeCloudEnvironment:
         self.vectorized_sampling = vectorized_sampling
         self.workload = get_workload_profile(workload)
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.fleet = fleet if fleet is not None else build_fleet(config, self.rng)
-        #: Device ids in fleet order, built once: every round hands them to its
-        #: condition view, which only reads them.
-        self.device_ids: tuple[int, ...] = tuple(self.fleet.device_ids)
+        fleet = build_fleet(config, self.rng)
         self.data_distribution = DataDistribution.from_name(data_distribution)
         if data_profiles is None:
             num_classes = self.workload.num_classes
@@ -60,27 +57,29 @@ class EdgeCloudEnvironment:
                     "profiles) or pass explicit data_profiles"
                 )
             data_profiles = synthesize_data_profiles(
-                device_ids=self.fleet.device_ids,
+                device_ids=fleet.id_array,
                 distribution=self.data_distribution,
                 num_classes=num_classes,
                 samples_per_device=self.workload.samples_per_device,
                 rng=self.rng,
             )
-        missing = set(self.fleet.device_ids) - set(data_profiles)
-        if missing:
-            raise SimulationError(f"data profiles missing for devices {sorted(missing)[:5]}...")
+        if not (
+            isinstance(data_profiles, DataProfileArrays)
+            and np.array_equal(data_profiles.device_ids, fleet.id_array)
+        ):
+            raise SimulationError(
+                f"data_profiles must be DataProfileArrays of devices 0..{len(fleet) - 1} "
+                "in order (see profiles_from_federated_dataset)"
+            )
         self.data_profiles = data_profiles
-        for device in self.fleet:
-            device.assign_samples(self.data_profiles[device.device_id].num_samples)
+        self.fleet = Fleet(fleet.specs, fleet.spec_codes, fleet.id_array, data_profiles.num_samples)
+        #: The arrays every round reads, gathered once from the fleet's per-spec tables.
+        self.fleet_arrays = FleetArrays.from_fleet(self.fleet)
         self.interference = interference or InterferenceGenerator(InterferenceScenario.NONE)
         self.bandwidth = bandwidth or BandwidthModel(NetworkScenario.STABLE)
-        self.slowdown = slowdown or SlowdownModel()
-        self.thermal = thermal or ThermalModel()
-        self.communication = communication or CommunicationModel()
-        self._fleet_arrays: FleetArrays | None = None
-        self._data_quality_array: np.ndarray | None = None
-        self._data_samples_array: np.ndarray | None = None
-        self._class_fraction_array: np.ndarray | None = None
+        self.slowdown = SlowdownModel()
+        self.thermal = ThermalModel()
+        self.communication = CommunicationModel()
         if global_params.num_participants > len(self.fleet):
             raise SimulationError(
                 f"K={global_params.num_participants} exceeds fleet size {len(self.fleet)}"
@@ -90,66 +89,15 @@ class EdgeCloudEnvironment:
         # stream above — static-fleet seeded trajectories stay bit-exact.
         self.dynamics = dynamics
         if dynamics is not None:
-            tier_index = {tier: code for code, tier in enumerate(TIER_ORDER)}
             dynamics.bind(
                 num_devices=len(self.fleet),
-                tier_codes=np.array(
-                    [tier_index[device.tier] for device in self.fleet], dtype=np.int64
-                ),
-                device_ids=np.array(self.fleet.device_ids, dtype=np.int64),
+                tier_codes=self.fleet_arrays.tier_codes,
+                device_ids=self.fleet_arrays.device_ids,
                 seed=config.seed + DYNAMICS_SEED_OFFSET,
             )
 
-    @property
-    def fleet_arrays(self) -> FleetArrays:
-        """Struct-of-arrays snapshot of the fleet, built lazily after shard assignment.
-
-        The snapshot backs the vectorised round engine; it is taken on first access so
-        that the data partitioner has already assigned per-device sample counts.
-        """
-        if self._fleet_arrays is None:
-            self._fleet_arrays = FleetArrays.from_fleet(self.fleet)
-        return self._fleet_arrays
-
-    @property
-    def data_quality_array(self) -> np.ndarray:
-        """Per-device ``data_quality`` in fleet order (profiles are fixed per job)."""
-        if self._data_quality_array is None:
-            self._data_quality_array = np.array(
-                [self.data_profiles[device_id].data_quality for device_id in self.fleet.device_ids],
-                dtype=np.float64,
-            )
-        return self._data_quality_array
-
-    @property
-    def data_samples_array(self) -> np.ndarray:
-        """Per-device profile sample counts in fleet order."""
-        if self._data_samples_array is None:
-            self._data_samples_array = np.array(
-                [self.data_profiles[device_id].num_samples for device_id in self.fleet.device_ids],
-                dtype=np.int64,
-            )
-        return self._data_samples_array
-
-    @property
-    def class_fraction_array(self) -> np.ndarray:
-        """Per-device class-coverage fractions in fleet order (fixed per job).
-
-        Backs the vectorised AutoFL state encoder, which bins data coverage for the
-        whole fleet in one array op instead of touching profile objects per round.
-        """
-        if self._class_fraction_array is None:
-            self._class_fraction_array = np.array(
-                [
-                    self.data_profiles[device_id].class_fraction
-                    for device_id in self.fleet.device_ids
-                ],
-                dtype=np.float64,
-            )
-        return self._class_fraction_array
-
     def data_profile(self, device_id: int) -> DeviceDataProfile:
-        """Data profile of one device."""
+        """Data profile of one device (a view built on demand)."""
         try:
             return self.data_profiles[device_id]
         except KeyError as exc:
@@ -186,7 +134,7 @@ class EdgeCloudEnvironment:
 
     def sample_round_conditions(self) -> dict[int, RoundConditions]:
         """Sample one round's conditions as the per-device mapping policies observe."""
-        return self.sample_condition_arrays().to_mapping(self.device_ids)
+        return self.sample_condition_arrays().to_mapping(self.fleet.device_ids)
 
     # ------------------------------------------------------------------ fleet dynamics
     def round_online_mask(self, round_index: int) -> np.ndarray | None:

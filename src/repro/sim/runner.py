@@ -157,7 +157,7 @@ class FLSimulation:
         condition_arrays = env.sample_condition_arrays()
         # Lazy view: scalar policies see the usual per-device mapping, vectorised ones
         # read the arrays and never pay the O(N) object construction.
-        conditions = condition_arrays.lazy_mapping(env.device_ids)
+        conditions = condition_arrays.lazy_mapping(env.fleet_arrays.device_ids)
         # Positional arguments: matching six keywords costs more than building the
         # frozen context itself, once per replicate and round.
         ctx = RoundContext(

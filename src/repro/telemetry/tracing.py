@@ -5,10 +5,10 @@ Spans are recorded with a context manager::
     with tracer.span("control_plane", category="engine", round=3):
         ...
 
-Nesting is tracked per thread (a ``threading.local`` stack), ids are unique per
-process, and timestamps come from ``time.perf_counter`` (CLOCK_MONOTONIC on Linux, so
-spans from a parent and its forked children share one timebase and line up in a single
-trace).  Finished spans go three places:
+Nesting is tracked per thread (a ``threading.local`` stack), an id is its process's pid
+above the tracer's count, and timestamps come from ``time.perf_counter``
+(CLOCK_MONOTONIC on Linux, so spans from a parent and its forked children share one
+timebase, never share an id, and line up in a single trace).  Finished spans go three places:
 
 * an in-memory ring buffer (``tracer.spans()``), capped so a long-running ``serve``
   cannot grow without bound;
@@ -46,6 +46,11 @@ TRACE_SCHEMA_VERSION = 1
 
 #: Ring-buffer cap on in-memory finished spans.
 DEFAULT_MAX_SPANS = 10_000
+
+#: Bits of a span id below the pid: a forked child continues its parent's count, so the
+#: pid keeps their ids apart.  Linux pids are below ``2**22``, so ids stay below ``2**53``
+#: and survive JSON readers that parse numbers as doubles.
+_SEQUENCE_BITS = 31
 
 
 @dataclass
@@ -117,13 +122,14 @@ class _ActiveSpan:
 
     def __init__(self, tracer: "SpanTracer", name: str, category: str, attrs: dict):
         self._tracer = tracer
+        pid = os.getpid()
         self.span = Span(
             name=name,
             category=category,
-            span_id=next(tracer._ids),
+            span_id=(pid << _SEQUENCE_BITS) | next(tracer._ids),
             parent_id=None,
             start_s=0.0,
-            pid=os.getpid(),
+            pid=pid,
             tid=threading.get_ident(),
             attrs=attrs,
         )
@@ -191,14 +197,15 @@ class SpanTracer:
         """Record an already-timed span (e.g. a queue claim measured manually)."""
         if not self.enabled:
             return None
+        pid = os.getpid()
         span = Span(
             name=name,
             category=category,
-            span_id=next(self._ids),
+            span_id=(pid << _SEQUENCE_BITS) | next(self._ids),
             parent_id=None,
             start_s=start_s,
             end_s=end_s,
-            pid=os.getpid(),
+            pid=pid,
             tid=threading.get_ident(),
             attrs=dict(attrs),
         )

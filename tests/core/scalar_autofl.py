@@ -354,7 +354,7 @@ class ScalarAutoFLPolicy(AutoFLPolicy):
         }
         selection = agent.select(global_state, local_states, effective_num_participants(ctx))
         targets = {
-            device_id: self._catalog.to_target(action_id, environment.fleet[device_id])
+            device_id: self._catalog.to_target(action_id, environment.fleet[device_id].spec)
             for device_id, action_id in selection.actions.items()
         }
         return SelectionDecision(participants=selection.participant_ids, targets=targets)

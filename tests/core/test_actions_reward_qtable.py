@@ -32,20 +32,20 @@ class TestActionCatalog:
 
     def test_default_action_is_top_cpu(self, device):
         catalog = ActionCatalog()
-        target = catalog.to_target(catalog.default_action_id(), device)
+        target = catalog.to_target(catalog.default_action_id(), device.spec)
         assert target.processor == "cpu"
         assert target.vf_step == MI8_PRO.cpu.num_vf_steps - 1
 
     def test_frequency_fraction_maps_to_steps(self, device):
         catalog = ActionCatalog()
         low_action = [a for a in catalog.action_ids if catalog.spec(a).label == "cpu-low"][0]
-        target = catalog.to_target(low_action, device)
+        target = catalog.to_target(low_action, device.spec)
         assert target.vf_step < MI8_PRO.cpu.num_vf_steps - 1
 
     def test_same_action_adapts_to_device(self):
         catalog = ActionCatalog()
-        high = catalog.to_target(0, MobileDevice(0, MI8_PRO))
-        low = catalog.to_target(0, MobileDevice(1, MOTO_X_FORCE))
+        high = catalog.to_target(0, MI8_PRO)
+        low = catalog.to_target(0, MOTO_X_FORCE)
         assert high.vf_step == MI8_PRO.cpu.num_vf_steps - 1
         assert low.vf_step == MOTO_X_FORCE.cpu.num_vf_steps - 1
 

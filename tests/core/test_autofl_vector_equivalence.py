@@ -143,7 +143,7 @@ def test_encode_local_codes_matches_scalar_encoding():
     environment = build_environment(spec)
     arrays = environment.sample_condition_arrays()
     fleet_ids = environment.fleet.device_ids
-    codes = encoder.encode_local_codes(arrays, environment.class_fraction_array)
+    codes = encoder.encode_local_codes(arrays, environment.data_profiles.class_fraction)
     mapping = arrays.to_mapping(fleet_ids)
     for row, device_id in enumerate(fleet_ids):
         state = encoder.encode_local(

@@ -95,7 +95,7 @@ def _ofl_targets_scalar(ctx, engine, participants):
         best_energy = default_outcomes[device_id].energy.active_j
         best_time = default_outcomes[device_id].total_time_s
         for action_id in catalog.action_ids:
-            target = catalog.to_target(action_id, device)
+            target = catalog.to_target(action_id, device.spec)
             outcome = engine.estimate_device(device, target, condition)
             meets_deadline = outcome.total_time_s <= deadline * 1.001
             if meets_deadline and outcome.energy.active_j < best_energy:

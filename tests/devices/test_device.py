@@ -54,12 +54,6 @@ class TestMobileDevice:
         assert device.tier is DeviceTier.HIGH
         assert device.num_local_samples == 300
 
-    def test_assign_samples(self, device):
-        device.assign_samples(120)
-        assert device.num_local_samples == 120
-        with pytest.raises(DeviceError):
-            device.assign_samples(-1)
-
     def test_default_target_is_top_cpu(self, device):
         target = device.default_target()
         assert target.processor == "cpu"

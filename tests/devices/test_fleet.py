@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.devices.device import MobileDevice
 from repro.devices.fleet import Fleet, build_fleet
 from repro.devices.specs import DeviceTier, MI8_PRO
 from repro.exceptions import DeviceError
@@ -53,13 +52,12 @@ class TestFleet:
             assert small_fleet.tier_of(device.device_id) is device.tier
 
     def test_duplicate_ids_rejected(self):
-        devices = [MobileDevice(1, MI8_PRO), MobileDevice(1, MI8_PRO)]
-        with pytest.raises(DeviceError):
-            Fleet(devices)
+        with pytest.raises(DeviceError, match="unique"):
+            Fleet([MI8_PRO], [0, 0], device_ids=[1, 1])
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(DeviceError):
-            Fleet([])
+            Fleet([MI8_PRO], [])
 
     def test_devices_returns_copy(self, small_fleet):
         devices = small_fleet.devices

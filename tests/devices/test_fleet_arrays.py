@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from repro.devices.device import ExecutionTarget, MobileDevice, RoundConditions
+from repro.devices.device import ExecutionTarget, RoundConditions
 from repro.devices.fleet import Fleet
 from repro.devices.fleet_arrays import (
     PROC_CPU,
@@ -39,11 +39,13 @@ class TestFleetArrays:
             gpu=replace(MI8_PRO.gpu, mem_bandwidth_gbs=9.5, saturation_batch=48),
         )
         specs = [MI8_PRO, custom_a, GALAXY_S10E, custom_b, MOTO_X_FORCE]
-        devices = [
-            MobileDevice(device_id, specs[(device_id * 7) % len(specs)], device_id % 13)
-            for device_id in range(40)
-        ]
-        fleet = Fleet(devices[::-1])
+        ids = list(range(40))[::-1]
+        fleet = Fleet(
+            specs,
+            [(device_id * 7) % len(specs) for device_id in ids],
+            device_ids=ids,
+            num_samples=[device_id % 13 for device_id in ids],
+        )
         arrays = FleetArrays.from_fleet(fleet)
         order = fleet.devices
         tier_index = {tier: code for code, tier in enumerate(TIER_ORDER)}
@@ -80,10 +82,15 @@ class TestFleetArrays:
             assert actual.tobytes() == expected.tobytes(), name
 
     def test_snapshot_reflects_assigned_samples(self, small_fleet):
-        for device in small_fleet:
-            device.assign_samples(17)
-        arrays = FleetArrays.from_fleet(small_fleet)
+        fleet = Fleet(
+            small_fleet.specs,
+            small_fleet.spec_codes,
+            small_fleet.id_array,
+            num_samples=np.full(len(small_fleet), 17),
+        )
+        arrays = FleetArrays.from_fleet(fleet)
         assert np.all(arrays.num_samples == 17)
+        assert all(device.num_local_samples == 17 for device in fleet)
 
     def test_rows_for_maps_ids(self, small_fleet, arrays):
         ids = small_fleet.device_ids[::3]

@@ -21,12 +21,20 @@ def _profile(device_id, quality, num_samples=300, non_iid=False):
     )
 
 
+def _arrays(profiles):
+    """The (data_quality, num_samples) arrays a round hands the model."""
+    return (
+        np.array([profile.data_quality for profile in profiles], dtype=np.float64),
+        np.array([profile.num_samples for profile in profiles], dtype=np.int64),
+    )
+
+
 def _iid_participants(count=10):
-    return [_profile(device_id, 0.97) for device_id in range(count)]
+    return _arrays([_profile(device_id, 0.97) for device_id in range(count)])
 
 
 def _non_iid_participants(count=10):
-    return [_profile(device_id, 0.25, non_iid=True) for device_id in range(count)]
+    return _arrays([_profile(device_id, 0.25, non_iid=True) for device_id in range(count)])
 
 
 @pytest.fixture
@@ -47,33 +55,35 @@ class TestSurrogateConvergence:
         for term in terms:
             expected += term
         assert math.fsum(terms) != expected
-        assert model.round_quality(participants) == expected / len(participants)
+        assert model.round_quality(*_arrays(participants)) == expected / len(participants)
 
     def test_iid_rounds_make_progress(self, model):
         before = model.accuracy
-        after = model.step(_iid_participants(), local_epochs=5, num_expected_participants=10)
+        after = model.step(
+            *_iid_participants(), local_epochs=5, num_expected_participants=10
+        )
         assert after > before
 
     def test_iid_training_converges_to_target(self, model):
         for _ in range(200):
-            model.step(_iid_participants(), 5, 10)
+            model.step(*_iid_participants(), 5, 10)
         assert model.accuracy >= CNN_MNIST.target_accuracy
 
     def test_non_iid_rounds_stall(self, model):
         for _ in range(100):
-            model.step(_non_iid_participants(), 5, 10)
+            model.step(*_non_iid_participants(), 5, 10)
         assert model.accuracy < 0.3
 
     def test_round_quality_weighted_by_samples(self, model):
         heavy_good = [_profile(0, 0.9, num_samples=900), _profile(1, 0.1, num_samples=100)]
-        assert model.round_quality(heavy_good) == pytest.approx(0.82, abs=0.01)
-        assert model.round_quality([]) == 0.0
+        assert model.round_quality(*_arrays(heavy_good)) == pytest.approx(0.82, abs=0.01)
+        assert model.round_quality(*_arrays([])) == 0.0
 
     def test_more_epochs_make_faster_progress(self):
         slow = SurrogateConvergenceModel(CNN_MNIST, rng=np.random.default_rng(0), noise_scale=0.0)
         fast = SurrogateConvergenceModel(CNN_MNIST, rng=np.random.default_rng(0), noise_scale=0.0)
-        slow.step(_iid_participants(), local_epochs=1, num_expected_participants=10)
-        fast.step(_iid_participants(), local_epochs=10, num_expected_participants=10)
+        slow.step(*_iid_participants(), local_epochs=1, num_expected_participants=10)
+        fast.step(*_iid_participants(), local_epochs=10, num_expected_participants=10)
         assert fast.accuracy > slow.accuracy
 
     def test_dropped_participants_slow_progress(self):
@@ -81,33 +91,33 @@ class TestSurrogateConvergence:
         partial = SurrogateConvergenceModel(
             CNN_MNIST, rng=np.random.default_rng(0), noise_scale=0.0
         )
-        full.step(_iid_participants(20), 5, 20)
-        partial.step(_iid_participants(5), 5, 20)
+        full.step(*_iid_participants(20), 5, 20)
+        partial.step(*_iid_participants(5), 5, 20)
         assert full.accuracy > partial.accuracy
 
     def test_robust_aggregator_mitigates_heterogeneity(self):
         # Pick a mixed-quality round just below the stall threshold for plain FedAvg.
-        participants = [_profile(i, 0.45) for i in range(10)]
+        participants = _arrays([_profile(i, 0.45) for i in range(10)])
         plain = SurrogateConvergenceModel(CNN_MNIST, 0.0, np.random.default_rng(0), noise_scale=0.0)
         robust = SurrogateConvergenceModel(
             CNN_MNIST, 0.45, np.random.default_rng(0), noise_scale=0.0
         )
-        plain.step(participants, 5, 10)
-        robust.step(participants, 5, 10)
+        plain.step(*participants, 5, 10)
+        robust.step(*participants, 5, 10)
         assert robust.accuracy > plain.accuracy
 
     def test_accuracy_never_exceeds_max(self, model):
         for _ in range(500):
-            model.step(_iid_participants(), 10, 10)
+            model.step(*_iid_participants(), 10, 10)
         assert model.accuracy <= CNN_MNIST.max_accuracy
 
     def test_empty_round_only_drifts(self, model):
         before = model.accuracy
-        after = model.step([], 5, 10)
+        after = model.step(*_arrays([]), 5, 10)
         assert after == pytest.approx(before, abs=0.02)
 
     def test_reset(self, model):
-        model.step(_iid_participants(), 5, 10)
+        model.step(*_iid_participants(), 5, 10)
         model.reset()
         assert model.accuracy == pytest.approx(0.10)
 
@@ -118,7 +128,7 @@ class TestSurrogateConvergence:
             SurrogateConvergenceModel(CNN_MNIST, initial_accuracy=0.999)
         model = SurrogateConvergenceModel(CNN_MNIST)
         with pytest.raises(SimulationError):
-            model.step(_iid_participants(), 0, 10)
+            model.step(*_iid_participants(), 0, 10)
 
     def test_stall_threshold_in_sensible_range(self):
         assert 0.3 < STALL_QUALITY_THRESHOLD < 0.8

@@ -1,9 +1,11 @@
 """Tests for the edge-cloud environment and scenario builders."""
 
+import numpy as np
 import pytest
 
 from repro.config import GlobalParams, SimulationConfig
 from repro.data.partition import DataDistribution
+from repro.data.profiles import synthesize_data_profiles
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.interference.corunner import InterferenceScenario
 from repro.network.bandwidth import NetworkScenario
@@ -36,12 +38,25 @@ class TestEdgeCloudEnvironment:
 
     def test_missing_data_profile_rejected(self):
         config = SimulationConfig.small(num_devices=12, seed=0)
-        with pytest.raises(SimulationError):
+        profiles = synthesize_data_profiles(
+            list(range(11)), "iid", 10, 300, np.random.default_rng(0)
+        )
+        with pytest.raises(SimulationError, match=r"devices 0\.\.11 in order"):
             EdgeCloudEnvironment(
                 config=config,
                 global_params=GlobalParams.from_setting("S4"),
                 workload="cnn-mnist",
-                data_profiles={0: None},  # type: ignore[dict-item]
+                data_profiles=profiles,
+            )
+
+    def test_data_profiles_must_be_profile_arrays(self):
+        config = SimulationConfig.small(num_devices=12, seed=0)
+        with pytest.raises(SimulationError, match="DataProfileArrays"):
+            EdgeCloudEnvironment(
+                config=config,
+                global_params=GlobalParams.from_setting("S4"),
+                workload="cnn-mnist",
+                data_profiles={0: None},  # type: ignore[arg-type]
             )
 
     def test_k_larger_than_fleet_rejected(self):

@@ -858,6 +858,36 @@ class TestTelemetryCLI:
         assert execute.start_s <= spawn.start_s <= spawn.end_s <= build.start_s
         assert build.end_s <= execute.end_s
 
+    def test_serve_trace_file_span_ids_stay_unique_across_job_children(
+        self, capsys, svc, store, tmp_path
+    ):
+        from repro import telemetry
+
+        sink = tmp_path / "spans.jsonl"
+        for seed in ("1", "2"):
+            code, _out, _err = _run(
+                ["submit", "--devices", "25", "--rounds", "2", "--seed", seed, *svc], capsys
+            )
+            assert code == 0
+        code, _out, _err = _run(
+            ["serve", "--workers", "1", "--drain", "--quiet", "--trace-file", str(sink),
+             *svc, *store],
+            capsys,
+        )
+        assert code == 0
+        spans = telemetry.load_spans(sink)
+        by_id = {span.span_id: span for span in spans}
+        # Forked job children number their spans apart from the parent and each other.
+        assert len(by_id) == len(spans)
+        assert all(span.parent_id in by_id for span in spans if span.parent_id is not None)
+        executes = {span.span_id for span in spans if span.name == "execute"}
+        assert len(executes) == 2
+        for name in ("build", "simulation"):
+            children = [span for span in spans if span.name == name]
+            # Each job child's span names its own job's execute span in the parent.
+            assert {span.parent_id for span in children} == executes
+            assert all(by_id[span.parent_id].pid != span.pid for span in children)
+
     def test_trace_converts_an_existing_span_sink(self, capsys, tmp_path):
         from repro.telemetry import SpanTracer
 
