@@ -36,14 +36,10 @@ class _TimedPolicy:
         self._select_s = time.perf_counter() - started
         return decision
 
-    def feedback_batch(self, ctx, decision, batch, training):
+    def feedback(self, ctx, decision, batch, training):
         started = time.perf_counter()
-        handled = self._policy.feedback_batch(ctx, decision, batch, training)
+        self._policy.feedback(ctx, decision, batch, training)
         self.overhead_s.append(self._select_s + (time.perf_counter() - started))
-        return handled
-
-    def feedback(self, ctx, decision, execution, training):
-        raise AssertionError("AutoFL takes its feedback in array form")
 
 
 def _train_policy(sharing: str, vectorized: bool, seed: int = 3):

@@ -14,7 +14,7 @@ from repro.exceptions import PolicyError
 from repro.registry import POLICIES
 from repro.fl.server import RoundTrainingResult
 from repro.sim.context import RoundContext, SelectionDecision
-from repro.sim.results import BatchRoundExecution, RoundExecution
+from repro.sim.results import BatchRoundExecution
 
 
 @POLICIES.register("autofl")
@@ -31,7 +31,6 @@ class AutoFLPolicy(Policy):
     """
 
     name = "autofl"
-    uses_feedback = True
 
     def __init__(
         self,
@@ -96,7 +95,7 @@ class AutoFLPolicy(Policy):
         global_state = self._encoder.encode_global(environment.workload, environment.global_params)
         rows = self._candidate_rows(ctx)
         local_codes = self._encoder.encode_local_codes(
-            ctx.conditions_as_arrays().take(rows), environment.data_profiles.class_fraction[rows]
+            ctx.conditions.take(rows), environment.data_profiles.class_fraction[rows]
         )
         selection = agent.select(global_state, rows, local_codes, effective_num_participants(ctx))
         targets = {
@@ -105,13 +104,13 @@ class AutoFLPolicy(Policy):
         }
         return SelectionDecision(participants=selection.participant_ids, targets=targets)
 
-    def feedback_batch(
+    def feedback(
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
         batch: BatchRoundExecution,
         training: RoundTrainingResult,
-    ) -> bool:
+    ) -> None:
         fleet_energy = batch.fleet_energy_j
         selected_mask = np.zeros(len(fleet_energy), dtype=bool)
         selected_mask[batch.rows] = True
@@ -120,34 +119,6 @@ class AutoFLPolicy(Policy):
         self._learn(
             ctx, decision, fleet_energy, selected_mask, failed_mask,
             batch.global_energy_j, training,
-        )
-        return True
-
-    def feedback(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
-        execution: RoundExecution,
-        training: RoundTrainingResult,
-    ) -> None:
-        # Entry point for callers that only hold the scalar view; the simulation runner
-        # routes through feedback_batch and never builds one.
-        fleet_ids = ctx.environment.fleet_arrays.device_ids.tolist()
-        selected = set(decision.participants)
-        failed = set(execution.failed_ids)
-        energies = [execution.energy.device(device_id) for device_id in fleet_ids]
-        fleet_energy = np.array(
-            [
-                energy.total_j if device_id in selected else energy.idle_j
-                for device_id, energy in zip(fleet_ids, energies)
-            ],
-            dtype=np.float64,
-        )
-        selected_mask = np.array([device_id in selected for device_id in fleet_ids])
-        failed_mask = np.array([device_id in failed for device_id in fleet_ids])
-        self._learn(
-            ctx, decision, fleet_energy, selected_mask, failed_mask,
-            execution.energy.global_j, training,
         )
 
     def _learn(

@@ -115,7 +115,7 @@ class OracleParticipantPolicy(Policy):
     def _build_cache(self, ctx: RoundContext) -> _RoundCache:
         environment = ctx.environment
         arrays = environment.fleet_arrays
-        conditions = ctx.conditions_as_arrays()
+        conditions = ctx.conditions
         network_score = np.minimum(1.0, conditions.bandwidth_mbps / 100.0)
         goodness = (
             self.DATA_WEIGHT * environment.data_profiles.data_quality

@@ -15,7 +15,7 @@ from repro.exceptions import PolicyError
 from repro.fl.server import RoundTrainingResult
 from repro.registry import POLICIES
 from repro.sim.context import RoundContext, SelectionDecision
-from repro.sim.results import BatchRoundExecution, RoundExecution
+from repro.sim.results import BatchRoundExecution
 
 #: Paper Table 4 — cluster templates, expressed as device counts per tier for K = 20.
 #: C0 is the random baseline (no fixed composition).
@@ -37,10 +37,6 @@ class Policy:
     """Base class for participant-selection policies."""
 
     name = "base"
-    #: Whether :meth:`feedback` does anything.  Policies that learn from round outcomes
-    #: (AutoFL) set this True, so the default :meth:`feedback_batch` declines the array
-    #: form and the runner hands :meth:`feedback` the scalar view instead.
-    uses_feedback = False
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -53,26 +49,14 @@ class Policy:
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
-        execution: RoundExecution,
-        training: RoundTrainingResult,
-    ) -> None:
-        """Receive the measured outcome of the round.  Non-learning policies ignore it."""
-
-    def feedback_batch(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
         batch: BatchRoundExecution,
         training: RoundTrainingResult,
-    ) -> bool:
-        """Array-form feedback: return True if handled, False to request :meth:`feedback`.
+    ) -> None:
+        """Receive the round's measured outcome.  Non-learning policies ignore it.
 
-        The simulation runner offers the round outcome in batch (array) form first;
-        accepting it here skips the scalar :class:`RoundExecution` materialisation.
-        The default accepts for non-learning policies, whose :meth:`feedback` is a
-        no-op, and declines for learning ones.
+        ``batch`` holds the round's per-device times and energies as arrays (no
+        per-device objects); ``training`` its accuracy before and after aggregation.
         """
-        return not self.uses_feedback
 
 
 def effective_num_participants(ctx: RoundContext) -> int:
@@ -94,8 +78,6 @@ class RandomPolicy(Policy):
     name = "fedavg-random"
 
     def select(self, ctx: RoundContext) -> SelectionDecision:
-        # The cached candidate array draws the exact same stream as the id list did —
-        # Generator.choice converts a list to this array before sampling.
         device_ids = ctx.candidate_id_array()
         num_participants = effective_num_participants(ctx)
         chosen = self._rng.choice(device_ids, size=num_participants, replace=False)

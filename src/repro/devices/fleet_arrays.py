@@ -250,14 +250,14 @@ class RoundConditionsArrays:
         )
 
     def to_mapping(self, device_ids: Sequence[int]) -> dict[int, RoundConditions]:
-        """Expand the arrays into the scalar per-device mapping used by policies."""
+        """Expand the arrays into a per-device mapping of scalar conditions."""
         return dict(self.lazy_mapping(device_ids))
 
     def lazy_mapping(self, device_ids: Sequence[int]) -> "LazyConditionMapping":
         """A mapping view over the arrays that builds scalar objects only on access.
 
-        Policies that work on the arrays directly never pay the O(N) object
-        construction of :meth:`to_mapping`; scalar consumers see the same values.
+        A consumer that reads a few devices skips the O(N) object construction of
+        :meth:`to_mapping`, and sees the same values.
         """
         return LazyConditionMapping(self, device_ids)
 
@@ -273,8 +273,8 @@ class LazyConditionMapping(Mapping[int, RoundConditions]):
             raise SimulationError("device_ids length does not match condition arrays")
         self._arrays = arrays
         self._ids = device_ids
-        # The row index is built on first scalar access: array-native consumers construct
-        # one of these views every round and never open it, so __init__ must stay O(1).
+        # The row index is built on first scalar access, so a view that is never opened
+        # costs no O(N) work.
         self._index: DeviceIndex | None = None
         self._cache: dict[int, RoundConditions] = {}
 

@@ -44,11 +44,6 @@ class DeviceFault:
                 f"compute_slowdown must be >= 1, got {self.compute_slowdown}"
             )
 
-    @property
-    def is_benign(self) -> bool:
-        """True when the device is unaffected this round."""
-        return not self.upload_failure and self.compute_slowdown == 1.0
-
 
 @dataclass(frozen=True)
 class FaultDraw:

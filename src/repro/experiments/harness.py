@@ -166,9 +166,6 @@ class _ShadowedPolicy:
         self.decisions.append((decision, self._reference.select(ctx)))
         return decision
 
-    def feedback_batch(self, *outcome) -> bool:
-        return self._policy.feedback_batch(*outcome)
-
     def feedback(self, *outcome) -> None:
         self._policy.feedback(*outcome)
 

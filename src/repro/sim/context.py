@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.devices.device import ExecutionTarget, RoundConditions
+from repro.devices.device import ExecutionTarget
 from repro.devices.fleet_arrays import RoundConditionsArrays
 from repro.exceptions import PolicyError
 
@@ -22,30 +21,19 @@ class RoundContext:
     """Everything a selection policy may observe at the start of an aggregation round.
 
     This mirrors the information AutoFL's server-side agent observes (paper Figure 7): the
-    FL global configuration and workload (through ``environment``), the per-device runtime
+    FL global configuration and workload (through ``environment``), every device's runtime
     conditions collected by the FL protocol, and the current global-model accuracy.
     """
 
     round_index: int
     environment: "EdgeCloudEnvironment"
-    conditions: Mapping[int, RoundConditions]
+    #: Every device's runtime conditions this round, as arrays in fleet order.
+    conditions: RoundConditionsArrays
     accuracy: float
-    #: Optional fleet-order array view of ``conditions`` — populated by the simulation
-    #: runner so vectorised policies skip an O(N) per-round re-gather of the mapping.
-    condition_arrays: RoundConditionsArrays | None = None
     #: Fleet-order boolean mask of the devices reachable this round, populated when the
     #: environment has fleet dynamics.  ``None`` means a static fleet (everyone online).
     #: Policies must select participants from the online candidates only.
     online_mask: np.ndarray | None = None
-
-    def candidate_ids(self) -> list[int]:
-        """Device ids a policy may select this round, in fleet order."""
-        device_ids = self.environment.fleet.device_ids
-        if self.online_mask is None:
-            return device_ids
-        return [
-            device_id for device_id, online in zip(device_ids, self.online_mask) if online
-        ]
 
     @cached_property
     def _candidate_id_array(self) -> np.ndarray:
@@ -55,11 +43,9 @@ class RoundContext:
         return device_ids[np.asarray(self.online_mask, dtype=bool)]
 
     def candidate_id_array(self) -> np.ndarray:
-        """Array view of :meth:`candidate_ids` (same ids, same fleet order).
+        """Device ids a policy may select this round, in fleet order.
 
-        Cached per round and shared — callers must treat it as read-only.  Policies that
-        draw with ``rng.choice`` get identical streams from the array and the list form,
-        so switching is trajectory-neutral.
+        Cached per round and shared — callers must treat it as read-only.
         """
         return self._candidate_id_array
 
@@ -69,21 +55,6 @@ class RoundContext:
         if self.online_mask is None:
             return len(self.environment.fleet)
         return int(np.count_nonzero(self.online_mask))
-
-    def condition(self, device_id: int) -> RoundConditions:
-        """Runtime conditions observed for one device this round."""
-        try:
-            return self.conditions[device_id]
-        except KeyError as exc:
-            raise PolicyError(f"no round conditions for device {device_id}") from exc
-
-    def conditions_as_arrays(self) -> RoundConditionsArrays:
-        """The round conditions as fleet-order arrays, building them if not supplied."""
-        if self.condition_arrays is not None:
-            return self.condition_arrays
-        return RoundConditionsArrays.from_mapping(
-            self.environment.fleet.device_ids, self.conditions
-        )
 
 
 @dataclass

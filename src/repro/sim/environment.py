@@ -7,7 +7,6 @@ import numpy as np
 from repro.config import GlobalParams, SimulationConfig
 from repro.data.partition import DataDistribution
 from repro.data.profiles import DataProfileArrays, DeviceDataProfile, synthesize_data_profiles
-from repro.devices.device import RoundConditions
 from repro.devices.fleet import Fleet, build_fleet
 from repro.devices.fleet_arrays import FleetArrays, RoundConditionsArrays
 from repro.dynamics import DYNAMICS_SEED_OFFSET, FleetDynamics
@@ -131,10 +130,6 @@ class EdgeCloudEnvironment:
             ),
             bandwidth_mbps=bandwidths,
         )
-
-    def sample_round_conditions(self) -> dict[int, RoundConditions]:
-        """Sample one round's conditions as the per-device mapping policies observe."""
-        return self.sample_condition_arrays().to_mapping(self.fleet.device_ids)
 
     # ------------------------------------------------------------------ fleet dynamics
     def round_online_mask(self, round_index: int) -> np.ndarray | None:

@@ -46,8 +46,6 @@ class ReplicatedSimulation:
             )
             for sim in sims
         ]
-        # Looked up once per run rather than per replicate-round.
-        feedbacks = [getattr(sim.policy, "feedback_batch", None) for sim in sims]
         active = list(range(len(sims)))
         round_index = 0
         with telemetry.get_tracer().span(
@@ -57,7 +55,7 @@ class ReplicatedSimulation:
             workload=sims[0].environment.workload.name,
         ):
             while active:
-                records = self._run_round(round_index, active, feedbacks)
+                records = self._run_round(round_index, active)
                 still_active = []
                 for i, record in zip(active, records):
                     sim = sims[i]
@@ -72,7 +70,7 @@ class ReplicatedSimulation:
                 round_index += 1
         return results
 
-    def _run_round(self, round_index: int, active: list[int], feedbacks: list) -> list[RoundRecord]:
+    def _run_round(self, round_index: int, active: list[int]) -> list[RoundRecord]:
         """One round of the active replicates; its arrays are freed when it returns.
 
         Each phase span opens once for all replicates, named like ``run_round``'s.
@@ -90,13 +88,13 @@ class ReplicatedSimulation:
             batches = execute_batch_replicated(
                 [sim._engine for sim in sims],
                 [decision for _, decision in opened],
-                [ctx.condition_arrays for ctx, _ in opened],
+                [ctx.conditions for ctx, _ in opened],
                 faults=faults,
                 online_masks=[ctx.online_mask for ctx, _ in opened],
             )
         registry = telemetry.get_registry()
         with tracer.span("feedback", category="engine", round=round_index):
             return [
-                sim._close_round(ctx, decision, batch, feedbacks[i], registry, _record_from_batch)
-                for i, sim, (ctx, decision), batch in zip(active, sims, opened, batches)
+                sim._close_round(ctx, decision, batch, registry, _record_from_batch)
+                for sim, (ctx, decision), batch in zip(sims, opened, batches)
             ]

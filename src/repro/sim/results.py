@@ -88,8 +88,8 @@ class BatchRoundExecution:
     produced it; ``idle_j`` is fleet-length (fleet order) and zero at participant rows.
     The container exposes the same aggregate quantities as :class:`RoundExecution`
     without materialising per-device Python objects — :meth:`to_execution` converts to
-    the scalar representation for the few consumers that need one (a third-party
-    policy's scalar feedback hook, the invariant auditor's cross-check).
+    the scalar representation for the few consumers that need one (the invariant
+    auditor's cross-check, round observers that want per-device outcomes).
     """
 
     selected_ids: np.ndarray

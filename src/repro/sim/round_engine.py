@@ -15,14 +15,13 @@ The readable per-device reference implementation (the scalar oracle,
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.devices.device import RoundConditions
 from repro.devices.fleet_arrays import (
     PROC_CPU,
     PROC_GPU,
@@ -280,20 +279,6 @@ class RoundEngine:
         )
 
     # ------------------------------------------------------------------ execution
-    def _participant_conditions(
-        self,
-        decision: SelectionDecision,
-        conditions: Mapping[int, RoundConditions] | RoundConditionsArrays,
-        rows: np.ndarray,
-    ) -> RoundConditionsArrays:
-        if isinstance(conditions, RoundConditionsArrays):
-            if len(conditions) != len(self._env.fleet_arrays):
-                raise SimulationError(
-                    "fleet-wide condition arrays must cover every device in the fleet"
-                )
-            return conditions.take(rows)
-        return RoundConditionsArrays.from_mapping(decision.participants, conditions)
-
     def _decision_targets(
         self, decision: SelectionDecision, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +315,7 @@ class RoundEngine:
     def execute_batch(
         self,
         decision: SelectionDecision,
-        conditions: Mapping[int, RoundConditions] | RoundConditionsArrays,
+        conditions: RoundConditionsArrays,
         faults: FaultDraw | None = None,
         online_mask: np.ndarray | None = None,
     ) -> BatchRoundExecution:
@@ -338,8 +323,7 @@ class RoundEngine:
 
         Applies the straggler cutoff, truncation, waiting and idle accounting, and
         returns a :class:`BatchRoundExecution` whose per-device quantities stay in
-        numpy arrays.  ``conditions`` may be the usual per-device mapping or fleet-wide
-        :class:`RoundConditionsArrays`.
+        numpy arrays.  ``conditions`` are every device's round conditions, in fleet order.
 
         ``faults`` (aligned on the selection order) injects mid-round failures:
         slow-fail stragglers stretch a participant's compute time and energy before the
@@ -360,7 +344,7 @@ class RoundEngine:
     def _prepare(
         self,
         decision: SelectionDecision,
-        conditions: Mapping[int, RoundConditions] | RoundConditionsArrays,
+        conditions: RoundConditionsArrays,
         faults: FaultDraw | None,
         online_mask: np.ndarray | None,
     ) -> _PreparedRound:
@@ -368,6 +352,8 @@ class RoundEngine:
         if not decision.participants:
             raise SimulationError("a round needs at least one selected participant")
         arrays = self._env.fleet_arrays
+        if len(conditions) != len(arrays):
+            raise SimulationError("round condition arrays must cover every device in the fleet")
         rows = arrays.rows_for(decision.participants)
         if online_mask is not None:
             self._check_selection_online(rows, online_mask)
@@ -386,7 +372,7 @@ class RoundEngine:
             processors=processors,
             vf_steps=vf_steps,
             static=_StaticInputs.gather(arrays, rows, processors, vf_steps),
-            conditions=self._participant_conditions(decision, conditions, rows),
+            conditions=conditions.take(rows),
             fault_slowdown=fault_slowdown,
             failed=failed,
         )
@@ -525,7 +511,7 @@ class RoundEngine:
 def execute_batch_replicated(
     engines: Sequence[RoundEngine],
     decisions: Sequence[SelectionDecision],
-    conditions: Sequence[Mapping[int, RoundConditions] | RoundConditionsArrays],
+    conditions: Sequence[RoundConditionsArrays],
     faults: Sequence[FaultDraw | None] | None = None,
     online_masks: Sequence[np.ndarray | None] | None = None,
 ) -> list[BatchRoundExecution]:

@@ -15,7 +15,6 @@ from repro.sim.context import RoundContext, SelectionDecision
 from repro.sim.environment import EdgeCloudEnvironment
 from repro.sim.results import (
     BatchRoundExecution,
-    RoundExecution,
     RoundRecord,
     SimulationResult,
     record_from_batch,
@@ -41,10 +40,10 @@ class SelectionPolicy(Protocol):
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
-        execution: RoundExecution,
+        batch: BatchRoundExecution,
         training: RoundTrainingResult,
     ) -> None:
-        """Receive the measured outcome of the round (used by learning policies)."""
+        """Receive the round's measured outcome as arrays (used by learning policies)."""
         ...
 
 
@@ -130,12 +129,11 @@ class FLSimulation:
             # was never picked is unobservable) from the dedicated dynamics RNG stream.
             faults = self._env.sample_faults(decision.participants, round_index)
             batch = self._engine.execute_batch(
-                decision, ctx.condition_arrays, faults=faults, online_mask=ctx.online_mask
+                decision, ctx.conditions, faults=faults, online_mask=ctx.online_mask
             )
         with tracer.span("feedback", category="engine", round=round_index):
-            feedback_batch = getattr(self._policy, "feedback_batch", None)
             return self._close_round(
-                ctx, decision, batch, feedback_batch, telemetry.get_registry(), record_from_batch
+                ctx, decision, batch, telemetry.get_registry(), record_from_batch
             )
 
     def run(self) -> SimulationResult:
@@ -154,15 +152,10 @@ class FLSimulation:
         env = self._env
         # Fleet dynamics first: who is reachable this round (None = static fleet).
         online_mask = env.round_online_mask(round_index)
-        condition_arrays = env.sample_condition_arrays()
-        # Lazy view: scalar policies see the usual per-device mapping, vectorised ones
-        # read the arrays and never pay the O(N) object construction.
-        conditions = condition_arrays.lazy_mapping(env.fleet_arrays.device_ids)
-        # Positional arguments: matching six keywords costs more than building the
+        conditions = env.sample_condition_arrays()
+        # Positional arguments: matching five keywords costs more than building the
         # frozen context itself, once per replicate and round.
-        ctx = RoundContext(
-            round_index, env, conditions, self._backend.accuracy, condition_arrays, online_mask
-        )
+        ctx = RoundContext(round_index, env, conditions, self._backend.accuracy, online_mask)
         decision = self._policy.select(ctx)
         if not decision.participants:
             raise SimulationError(f"policy {self._policy.name!r} selected no participants")
@@ -173,20 +166,15 @@ class FLSimulation:
         ctx: RoundContext,
         decision: SelectionDecision,
         batch: BatchRoundExecution,
-        feedback_batch: Callable[..., bool] | None,
         registry: telemetry.MetricsRegistry,
         build_record: Callable[..., RoundRecord],
     ) -> RoundRecord:
         """Train, give the policy its feedback, then record, count and observe the round.
 
-        ``feedback_batch`` is the policy's bound array-form feedback (``None`` if it has
-        none) and ``build_record`` assembles the record; callers look both up once.
+        ``build_record`` assembles the record; callers look it up once.
         """
         training = self._backend.run_round(batch.participant_ids)
-        # The outcome is offered in array form; only a policy that declines it pays
-        # for the per-device scalar RoundExecution view.
-        if feedback_batch is None or not feedback_batch(ctx, decision, batch, training):
-            self._policy.feedback(ctx, decision, batch.to_execution(), training)
+        self._policy.feedback(ctx, decision, batch, training)
         record = build_record(ctx.round_index, decision, batch, training, ctx.online_mask)
         if registry.enabled:
             policy_name = self._policy.name

@@ -194,15 +194,19 @@ class SpanTracer:
         end_s: float = 0.0,
         **attrs: object,
     ) -> Span | None:
-        """Record an already-timed span (e.g. a queue claim measured manually)."""
+        """Record an already-timed span (e.g. a queue claim measured manually).
+
+        Its parent is the calling thread's innermost open span, as for :meth:`span`.
+        """
         if not self.enabled:
             return None
+        stack = self._stack()
         pid = os.getpid()
         span = Span(
             name=name,
             category=category,
             span_id=(pid << _SEQUENCE_BITS) | next(self._ids),
-            parent_id=None,
+            parent_id=stack[-1].span_id if stack else None,
             start_s=start_s,
             end_s=end_s,
             pid=pid,

@@ -326,8 +326,7 @@ class AutoFLAgent:
 
 class ScalarAutoFLPolicy(AutoFLPolicy):
     """``autofl`` driven by the scalar agent: per-device ``LocalState``s in, dict
-    rewards out.  Feedback reaches :meth:`_learn` through ``AutoFLPolicy``'s own
-    ``feedback_batch`` / ``feedback``."""
+    rewards out.  Feedback reaches :meth:`_learn` through ``AutoFLPolicy.feedback``."""
 
     def _ensure_agent(self, ctx: RoundContext) -> AutoFLAgent:
         if self._agent is None:
@@ -346,11 +345,12 @@ class ScalarAutoFLPolicy(AutoFLPolicy):
         environment = ctx.environment
         global_state = self._encoder.encode_global(environment.workload, environment.global_params)
         # Only online candidates are observable, so offline devices get no transition.
+        conditions = ctx.conditions.lazy_mapping(environment.fleet_arrays.device_ids)
         local_states = {
             device_id: self._encoder.encode_local(
-                ctx.condition(device_id), environment.data_profile(device_id)
+                conditions[device_id], environment.data_profile(device_id)
             )
-            for device_id in ctx.candidate_ids()
+            for device_id in ctx.candidate_id_array().tolist()
         }
         selection = agent.select(global_state, local_states, effective_num_participants(ctx))
         targets = {

@@ -7,14 +7,16 @@ from repro.core.controller import AutoFLPolicy
 from repro.core.oracle import OracleFLPolicy, OracleParticipantPolicy
 from repro.core.qtable import PER_DEVICE
 from repro.devices.device import RoundConditions
+from repro.devices.fleet_arrays import RoundConditionsArrays
 from repro.exceptions import PolicyError
 from repro.sim.context import RoundContext
+from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
 from scalar_engine import ScalarRoundEngine
 
 
 def _context(environment, accuracy=0.1, conditions=None):
-    conditions = conditions if conditions is not None else environment.sample_round_conditions()
+    conditions = conditions if conditions is not None else environment.sample_condition_arrays()
     return RoundContext(
         round_index=0, environment=environment, conditions=conditions, accuracy=accuracy
     )
@@ -61,15 +63,16 @@ class TestOracleParticipantPolicy:
         for device_id in loaded:
             conditions[device_id] = RoundConditions(co_cpu_util=0.95, co_mem_util=0.9)
         policy = OracleParticipantPolicy(rng=np.random.default_rng(0))
-        decision = policy.select(_context(small_environment, conditions=conditions))
+        arrays = RoundConditionsArrays.from_mapping(small_environment.fleet.device_ids, conditions)
+        decision = policy.select(_context(small_environment, conditions=arrays))
         selected_loaded = len(set(decision.participants) & set(loaded))
         assert selected_loaded < len(decision.participants) / 2
 
 
 class TestOracleFLPolicy:
     def test_targets_never_slower_than_round_deadline(self, small_environment):
-        conditions = small_environment.sample_round_conditions()
-        ctx = _context(small_environment, conditions=conditions)
+        ctx = _context(small_environment)
+        conditions = ctx.conditions.to_mapping(small_environment.fleet.device_ids)
         policy = OracleFLPolicy(rng=np.random.default_rng(0))
         decision = policy.select(ctx)
         engine = ScalarRoundEngine(small_environment)
@@ -92,8 +95,8 @@ class TestOracleFLPolicy:
         assert max(chosen_times) <= max(default_times) * 1.01
 
     def test_saves_energy_compared_to_default_targets(self, small_environment):
-        conditions = small_environment.sample_round_conditions()
-        ctx = _context(small_environment, conditions=conditions)
+        ctx = _context(small_environment)
+        conditions = ctx.conditions.to_mapping(small_environment.fleet.device_ids)
         ofl = OracleFLPolicy(rng=np.random.default_rng(0)).select(ctx)
         engine = ScalarRoundEngine(small_environment)
 
@@ -116,9 +119,9 @@ class TestAutoFLPolicy:
 
     def test_select_and_feedback_cycle(self, small_environment, small_backend):
         policy = AutoFLPolicy(rng=np.random.default_rng(0))
-        engine = ScalarRoundEngine(small_environment)
+        engine = RoundEngine(small_environment)
         for round_index in range(5):
-            conditions = small_environment.sample_round_conditions()
+            conditions = small_environment.sample_condition_arrays()
             ctx = RoundContext(round_index, small_environment, conditions, small_backend.accuracy)
             decision = policy.select(ctx)
             assert (
@@ -126,15 +129,15 @@ class TestAutoFLPolicy:
                 == small_environment.global_params.num_participants
             )
             assert set(decision.targets) == set(decision.participants)
-            execution = engine.execute(decision, conditions)
-            training = small_backend.run_round(execution.participant_ids)
-            policy.feedback(ctx, decision, execution, training)
+            batch = engine.execute_batch(decision, conditions)
+            training = small_backend.run_round(batch.participant_ids)
+            policy.feedback(ctx, decision, batch, training)
         assert len(policy.reward_history()) == 5
         assert policy.agent.qtable_store.total_entries() > 0
 
     def test_qtable_sharing_mode_respected(self, small_environment, small_backend):
         policy = AutoFLPolicy(rng=np.random.default_rng(0), qtable_sharing=PER_DEVICE)
-        conditions = small_environment.sample_round_conditions()
+        conditions = small_environment.sample_condition_arrays()
         ctx = RoundContext(0, small_environment, conditions, small_backend.accuracy)
         policy.select(ctx)
         assert policy.agent.qtable_store.sharing == PER_DEVICE
@@ -152,15 +155,15 @@ class TestAutoFLPolicy:
         environment = build_environment(spec)
         backend = build_surrogate_backend(environment)
         policy = AutoFLPolicy(rng=np.random.default_rng(1))
-        engine = ScalarRoundEngine(environment)
+        engine = RoundEngine(environment)
         last_selections = []
         for round_index in range(60):
-            conditions = environment.sample_round_conditions()
+            conditions = environment.sample_condition_arrays()
             ctx = RoundContext(round_index, environment, conditions, backend.accuracy)
             decision = policy.select(ctx)
-            execution = engine.execute(decision, conditions)
-            training = backend.run_round(execution.participant_ids)
-            policy.feedback(ctx, decision, execution, training)
+            batch = engine.execute_batch(decision, conditions)
+            training = backend.run_round(batch.participant_ids)
+            policy.feedback(ctx, decision, batch, training)
             if round_index >= 40:
                 last_selections.append(decision.participants)
         non_iid_ids = {

@@ -22,14 +22,19 @@ def _context(environment):
     return RoundContext(
         round_index=0,
         environment=environment,
-        conditions=environment.sample_round_conditions(),
+        conditions=environment.sample_condition_arrays(),
         accuracy=0.1,
     )
 
 
+def _condition(ctx, device_id):
+    """One device's round conditions, read through the per-device scalar view."""
+    return ctx.conditions.lazy_mapping(ctx.environment.fleet_arrays.device_ids)[device_id]
+
+
 def _goodness(policy, ctx, device_id):
     profile = ctx.environment.data_profile(device_id)
-    condition = ctx.condition(device_id)
+    condition = _condition(ctx, device_id)
     network_score = min(1.0, condition.bandwidth_mbps / 100.0)
     return (
         policy.DATA_WEIGHT * profile.data_quality
@@ -82,7 +87,7 @@ def _ofl_targets_scalar(ctx, engine, participants):
     catalog = ActionCatalog()
     default_outcomes = {
         device_id: engine.estimate_device(
-            fleet[device_id], fleet[device_id].default_target(), ctx.condition(device_id)
+            fleet[device_id], fleet[device_id].default_target(), _condition(ctx, device_id)
         )
         for device_id in participants
     }
@@ -90,7 +95,7 @@ def _ofl_targets_scalar(ctx, engine, participants):
     targets = {}
     for device_id in participants:
         device = fleet[device_id]
-        condition = ctx.condition(device_id)
+        condition = _condition(ctx, device_id)
         best_target = device.default_target()
         best_energy = default_outcomes[device_id].energy.active_j
         best_time = default_outcomes[device_id].total_time_s
@@ -113,7 +118,7 @@ def _ofl_targets_scalar(ctx, engine, participants):
 def _score_scalar(ctx, engine, participants, targets):
     outcomes = {
         device_id: engine.estimate_device(
-            ctx.environment.fleet[device_id], targets[device_id], ctx.condition(device_id)
+            ctx.environment.fleet[device_id], targets[device_id], _condition(ctx, device_id)
         )
         for device_id in participants
     }

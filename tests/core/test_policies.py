@@ -22,7 +22,7 @@ from repro.sim.context import RoundContext
 
 @pytest.fixture
 def context(small_environment):
-    conditions = small_environment.sample_round_conditions()
+    conditions = small_environment.sample_condition_arrays()
     return RoundContext(
         round_index=0, environment=small_environment, conditions=conditions, accuracy=0.1
     )

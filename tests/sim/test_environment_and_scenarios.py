@@ -22,19 +22,14 @@ class TestEdgeCloudEnvironment:
         assert all(device.num_local_samples > 0 for device in env.fleet)
 
     def test_round_conditions_cover_every_device(self, small_environment):
-        conditions = small_environment.sample_round_conditions()
-        assert set(conditions) == set(small_environment.fleet.device_ids)
-        for condition in conditions.values():
-            assert condition.bandwidth_mbps > 0
+        conditions = small_environment.sample_condition_arrays()
+        assert len(conditions) == len(small_environment.fleet)
+        assert (conditions.bandwidth_mbps > 0).all()
 
     def test_conditions_resampled_every_round(self, small_environment):
-        first = small_environment.sample_round_conditions()
-        second = small_environment.sample_round_conditions()
-        changed = any(
-            first[device_id].bandwidth_mbps != second[device_id].bandwidth_mbps
-            for device_id in first
-        )
-        assert changed
+        first = small_environment.sample_condition_arrays()
+        second = small_environment.sample_condition_arrays()
+        assert (first.bandwidth_mbps != second.bandwidth_mbps).any()
 
     def test_missing_data_profile_rejected(self):
         config = SimulationConfig.small(num_devices=12, seed=0)
@@ -143,9 +138,6 @@ class TestScenarioSpec:
         first = build_environment(spec)
         second = build_environment(spec)
         assert [d.tier for d in first.fleet] == [d.tier for d in second.fleet]
-        first_conditions = first.sample_round_conditions()
-        second_conditions = second.sample_round_conditions()
-        assert all(
-            first_conditions[i].bandwidth_mbps == pytest.approx(second_conditions[i].bandwidth_mbps)
-            for i in first_conditions
-        )
+        first_conditions = first.sample_condition_arrays()
+        second_conditions = second.sample_condition_arrays()
+        assert first_conditions.bandwidth_mbps == pytest.approx(second_conditions.bandwidth_mbps)

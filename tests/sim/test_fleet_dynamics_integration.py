@@ -154,20 +154,20 @@ class TestEngineFaults:
     def engine_setup(self, small_environment):
         # The scalar oracle subclasses the shipped engine: one instance runs both paths.
         engine = ScalarRoundEngine(small_environment)
-        condition_arrays = small_environment.sample_condition_arrays()
-        conditions = condition_arrays.to_mapping(small_environment.fleet.device_ids)
+        arrays = small_environment.sample_condition_arrays()
+        conditions = arrays.to_mapping(small_environment.fleet.device_ids)
         participants = small_environment.fleet.device_ids[:8]
         decision = SelectionDecision(participants=participants)
-        return engine, decision, conditions, condition_arrays
+        return engine, decision, conditions, arrays
 
     def test_scalar_batch_equivalence_with_faults(self, engine_setup):
-        engine, decision, conditions, condition_arrays = engine_setup
+        engine, decision, conditions, arrays = engine_setup
         rng = np.random.default_rng(0)
         draw = FaultDraw(
             upload_failure=rng.random(8) < 0.4,
             compute_slowdown=np.where(rng.random(8) < 0.4, 5.0, 1.0),
         )
-        batch = engine.execute_batch(decision, condition_arrays, faults=draw)
+        batch = engine.execute_batch(decision, arrays, faults=draw)
         scalar = engine.execute(
             decision, conditions, faults=draw.to_mapping(decision.participants)
         )
@@ -201,7 +201,7 @@ class TestEngineFaults:
     ):
         """PR 3 pinned only the always-on/no-fault path; the fault-injection and
         partial-availability paths must agree between the two engines to 1e-9 too."""
-        engine, decision, conditions, condition_arrays = engine_setup
+        engine, decision, conditions, arrays = engine_setup
         rng = np.random.default_rng(42)
         draw = None
         if with_faults:
@@ -219,7 +219,7 @@ class TestEngineFaults:
             online_mask[offline] = False
 
         batch = engine.execute_batch(
-            decision, condition_arrays, faults=draw, online_mask=online_mask
+            decision, arrays, faults=draw, online_mask=online_mask
         )
         scalar = engine.execute(
             decision,
@@ -263,14 +263,14 @@ class TestEngineFaults:
         )
 
     def test_upload_failure_wastes_compute_but_not_radio(self, engine_setup):
-        engine, decision, _conditions, condition_arrays = engine_setup
+        engine, decision, _conditions, arrays = engine_setup
         draw = FaultDraw.none(8)
-        clean = engine.execute_batch(decision, condition_arrays, faults=draw)
+        clean = engine.execute_batch(decision, arrays, faults=draw)
         failing = FaultDraw(
             upload_failure=np.array([True] + [False] * 7),
             compute_slowdown=np.ones(8),
         )
-        faulty = engine.execute_batch(decision, condition_arrays, faults=failing)
+        faulty = engine.execute_batch(decision, arrays, faults=failing)
         assert faulty.failed_ids == [decision.participants[0]]
         assert decision.participants[0] not in faulty.participant_ids
         assert faulty.communication_j[0] == 0.0
@@ -279,39 +279,39 @@ class TestEngineFaults:
         assert clean.communication_j[0] > 0.0
 
     def test_slow_fault_can_turn_participant_into_straggler(self, engine_setup):
-        engine, decision, _conditions, condition_arrays = engine_setup
+        engine, decision, _conditions, arrays = engine_setup
         slowdown = np.ones(8)
         slowdown[0] = 50.0
         draw = FaultDraw(upload_failure=np.zeros(8, dtype=bool), compute_slowdown=slowdown)
-        execution = engine.execute_batch(decision, condition_arrays, faults=draw)
+        execution = engine.execute_batch(decision, arrays, faults=draw)
         assert decision.participants[0] in execution.dropped_ids
 
     def test_offline_selection_rejected(self, engine_setup):
-        engine, decision, conditions, condition_arrays = engine_setup
-        online_mask = np.ones(len(condition_arrays), dtype=bool)
+        engine, decision, conditions, arrays = engine_setup
+        online_mask = np.ones(len(arrays), dtype=bool)
         online_mask[0] = False  # Fleet row 0 is the first participant.
         with pytest.raises(SimulationError, match="offline"):
-            engine.execute_batch(decision, condition_arrays, online_mask=online_mask)
+            engine.execute_batch(decision, arrays, online_mask=online_mask)
         with pytest.raises(SimulationError, match="offline"):
             engine.execute(decision, conditions, online_mask=online_mask)
 
     def test_offline_devices_draw_no_idle_energy(self, engine_setup, small_environment):
-        engine, decision, _conditions, condition_arrays = engine_setup
-        online_mask = np.ones(len(condition_arrays), dtype=bool)
+        engine, decision, _conditions, arrays = engine_setup
+        online_mask = np.ones(len(arrays), dtype=bool)
         offline_row = len(online_mask) - 1  # Not among the selected first 8 rows.
         online_mask[offline_row] = False
         gated = engine.execute_batch(
-            decision, condition_arrays, online_mask=online_mask
+            decision, arrays, online_mask=online_mask
         )
-        ungated = engine.execute_batch(decision, condition_arrays)
+        ungated = engine.execute_batch(decision, arrays)
         assert gated.idle_j[offline_row] == 0.0
         assert ungated.idle_j[offline_row] > 0.0
         assert gated.global_energy_j < ungated.global_energy_j
 
     def test_misaligned_fault_draw_rejected(self, engine_setup):
-        engine, decision, _conditions, condition_arrays = engine_setup
+        engine, decision, _conditions, arrays = engine_setup
         with pytest.raises(SimulationError, match="align"):
-            engine.execute_batch(decision, condition_arrays, faults=FaultDraw.none(3))
+            engine.execute_batch(decision, arrays, faults=FaultDraw.none(3))
 
 
 class TestDynamicsSpecOnScenario:

@@ -140,10 +140,10 @@ def test_execute_batch_replicated_groups_mixed_selection_sizes():
     ]
     conditions = [environment.sample_condition_arrays() for environment in environments]
     stacked = execute_batch_replicated(engines, decisions, conditions)
-    for engine, decision, condition_arrays, batch in zip(
+    for engine, decision, arrays, batch in zip(
         engines, decisions, conditions, stacked
     ):
-        solo = engine.execute_batch(decision, condition_arrays)
+        solo = engine.execute_batch(decision, arrays)
         assert np.array_equal(batch.compute_j, solo.compute_j)
         assert np.array_equal(batch.communication_j, solo.communication_j)
         assert np.array_equal(batch.waiting_j, solo.waiting_j)
@@ -217,34 +217,3 @@ def test_static_cluster_policy_rides_the_replicate_axis():
         ]
     ).run()
     assert [result.to_json() for result in replicated] == solo
-
-
-class _BatchAwarePolicy(RandomPolicy):
-    """Counts which feedback form the runner offers."""
-
-    def __init__(self, rng, handle_batch):
-        super().__init__(rng)
-        self.handle_batch = handle_batch
-        self.batch_calls = 0
-        self.scalar_calls = 0
-
-    def feedback_batch(self, ctx, decision, batch, training):
-        self.batch_calls += 1
-        return self.handle_batch
-
-    def feedback(self, ctx, decision, execution, training):
-        self.scalar_calls += 1
-
-
-@pytest.mark.parametrize("handle_batch", [True, False])
-def test_runner_offers_batch_feedback_first(handle_batch):
-    spec = ScenarioSpec(seed=0, **STATIC_SPEC)
-    environment = build_environment(spec)
-    backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
-    policy = _BatchAwarePolicy(np.random.default_rng(9), handle_batch)
-    FLSimulation(
-        environment, policy, backend, max_rounds=3, stop_at_convergence=False
-    ).run()
-    assert policy.batch_calls == 3
-    # The scalar form is materialised only when the batch form was declined.
-    assert policy.scalar_calls == (0 if handle_batch else 3)

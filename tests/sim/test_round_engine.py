@@ -17,10 +17,12 @@ def engine(small_environment):
 
 @pytest.fixture
 def clean_conditions(small_environment):
-    return {
-        device_id: RoundConditions(bandwidth_mbps=90.0)
-        for device_id in small_environment.fleet.device_ids
-    }
+    num_devices = len(small_environment.fleet)
+    return RoundConditionsArrays(
+        co_cpu_util=np.zeros(num_devices),
+        co_mem_util=np.zeros(num_devices),
+        bandwidth_mbps=np.full(num_devices, 90.0),
+    )
 
 
 def _decision(environment, count=6):
@@ -120,13 +122,13 @@ class TestExecute:
 
     def test_straggler_dropped_under_extreme_conditions(self, engine, small_environment):
         decision = _decision(small_environment, count=8)
-        conditions = {
-            device_id: RoundConditions(bandwidth_mbps=90.0)
-            for device_id in small_environment.fleet.device_ids
-        }
+        device_ids = small_environment.fleet.device_ids
+        conditions = {device_id: RoundConditions(bandwidth_mbps=90.0) for device_id in device_ids}
         straggler = decision.participants[0]
         conditions[straggler] = RoundConditions(bandwidth_mbps=3.0, co_cpu_util=0.9)
-        batch = engine.execute_batch(decision, conditions)
+        batch = engine.execute_batch(
+            decision, RoundConditionsArrays.from_mapping(device_ids, conditions)
+        )
         assert straggler in batch.dropped_ids
         assert straggler not in batch.participant_ids
         # The dropped straggler still consumed (truncated) energy.

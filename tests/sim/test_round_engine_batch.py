@@ -89,7 +89,9 @@ class TestEstimateBatchEquivalence:
         environment = _random_environment(rng)
         engine = ScalarRoundEngine(environment)
         decision = _random_decision(environment, rng)
-        conditions = environment.sample_round_conditions()
+        conditions = environment.sample_condition_arrays().to_mapping(
+            environment.fleet.device_ids
+        )
         arrays = environment.fleet_arrays
         rows = arrays.rows_for(decision.participants)
         processors = np.array(
@@ -143,9 +145,9 @@ class TestExecuteBatchEquivalence:
         environment = _random_environment(rng)
         engine = ScalarRoundEngine(environment)
         decision = _random_decision(environment, rng)
-        conditions = environment.sample_round_conditions()
-        scalar = engine.execute(decision, conditions)
-        batch = engine.execute_batch(decision, conditions)
+        arrays = environment.sample_condition_arrays()
+        scalar = engine.execute(decision, arrays.to_mapping(environment.fleet.device_ids))
+        batch = engine.execute_batch(decision, arrays)
         assert batch.participant_ids == scalar.participant_ids
         assert batch.dropped_ids == scalar.dropped_ids
         assert batch.participant_energy_j == pytest.approx(
@@ -153,16 +155,6 @@ class TestExecuteBatchEquivalence:
         )
         assert batch.global_energy_j == pytest.approx(scalar.energy.global_j, rel=REL_TOL)
         _assert_outcomes_match(scalar, batch.to_execution())
-
-    def test_accepts_fleet_wide_condition_arrays(self, small_environment):
-        engine = RoundEngine(small_environment)
-        condition_arrays = small_environment.sample_condition_arrays()
-        conditions = condition_arrays.to_mapping(small_environment.fleet.device_ids)
-        decision = SelectionDecision(participants=small_environment.fleet.device_ids[:6])
-        from_mapping = engine.execute_batch(decision, conditions)
-        from_arrays = engine.execute_batch(decision, condition_arrays)
-        assert from_arrays.round_time_s == from_mapping.round_time_s
-        assert from_arrays.global_energy_j == from_mapping.global_energy_j
 
     def test_straggler_truncation_matches(self, small_environment):
         engine = ScalarRoundEngine(small_environment)
@@ -174,7 +166,9 @@ class TestExecuteBatchEquivalence:
         conditions[straggler] = RoundConditions(bandwidth_mbps=3.0, co_cpu_util=0.9)
         decision = SelectionDecision(participants=device_ids[:8])
         scalar = engine.execute(decision, conditions)
-        batch = engine.execute_batch(decision, conditions)
+        batch = engine.execute_batch(
+            decision, RoundConditionsArrays.from_mapping(device_ids, conditions)
+        )
         assert straggler in scalar.dropped_ids
         assert batch.dropped_ids == scalar.dropped_ids
         _assert_outcomes_match(scalar, batch.to_execution())
@@ -191,13 +185,14 @@ class TestMissingConditions:
             engine.execute(SelectionDecision(participants=participants), conditions)
 
     def test_batch_execute_raises_with_device_id(self, small_environment):
+        # The batch engine takes fleet-order arrays: arrays that stop short of the
+        # fleet's last device are refused, even when no participant falls past them.
         engine = RoundEngine(small_environment)
+        num_devices = len(small_environment.fleet)
+        short = small_environment.sample_condition_arrays().take(np.arange(num_devices - 1))
         participants = small_environment.fleet.device_ids[:4]
-        conditions = {
-            device_id: RoundConditions() for device_id in participants[:-1]
-        }
-        with pytest.raises(SimulationError, match=str(participants[-1])):
-            engine.execute_batch(SelectionDecision(participants=participants), conditions)
+        with pytest.raises(SimulationError, match="cover every device"):
+            engine.execute_batch(SelectionDecision(participants=participants), short)
 
 
 class _ZeroTimeEngine(ScalarRoundEngine):

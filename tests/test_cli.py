@@ -882,7 +882,7 @@ class TestTelemetryCLI:
         assert all(span.parent_id in by_id for span in spans if span.parent_id is not None)
         executes = {span.span_id for span in spans if span.name == "execute"}
         assert len(executes) == 2
-        for name in ("build", "simulation"):
+        for name in ("spawn", "build", "simulation"):
             children = [span for span in spans if span.name == name]
             # Each job child's span names its own job's execute span in the parent.
             assert {span.parent_id for span in children} == executes

@@ -148,3 +148,52 @@ class TestThirdPartyExtension:
         finally:
             # Keep the shared registry pristine for the other tests.
             POLICIES._entries.pop("test-noop-policy")
+
+    def test_policy_contract_holds_through_both_loops(self):
+        # A third-party policy reads the round's conditions as fleet-order arrays and
+        # learns from the batch outcome, in a solo run and in a multi-seed experiment.
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.core.selection import Policy, effective_num_participants
+        from repro.experiments.runner import build_simulation, run_experiment
+        from repro.experiments.spec import ExperimentSpec
+        from repro.sim.context import SelectionDecision
+        from repro.sim.results import BatchRoundExecution
+        from repro.sim.scenarios import ScenarioSpec
+
+        feedback_seen = []
+
+        @POLICIES.register("test-bandwidth-policy", summary="Registered by the test suite.")
+        class BandwidthPolicy(Policy):
+            """Picks the online devices with the most bandwidth this round."""
+
+            name = "test-bandwidth-policy"
+
+            def select(self, ctx):
+                bandwidth = ctx.conditions.bandwidth_mbps
+                if ctx.online_mask is not None:
+                    bandwidth = bandwidth[ctx.online_mask]
+                order = np.argsort(-bandwidth, kind="stable")
+                chosen = ctx.candidate_id_array()[order[: effective_num_participants(ctx)]]
+                return SelectionDecision(participants=chosen.tolist())
+
+            def feedback(self, ctx, decision, batch, training):
+                feedback_seen.append((ctx.round_index, type(batch)))
+
+        try:
+            scenario = ScenarioSpec(num_devices=30, max_rounds=3, seed=0)
+            spec = ExperimentSpec(
+                scenario=scenario, policy="test-bandwidth-policy", stop_at_convergence=False
+            )
+            assert build_simulation(spec).run().num_rounds == 3
+            assert feedback_seen == [(index, BatchRoundExecution) for index in range(3)]
+            feedback_seen.clear()
+            assert len(run_experiment(replace(spec, n_seeds=2)).summaries) == 2
+            # One batch outcome per replica-round: both replicas learn every round.
+            assert feedback_seen == [
+                (index, BatchRoundExecution) for index in range(3) for _replica in range(2)
+            ]
+        finally:
+            POLICIES._entries.pop("test-bandwidth-policy")

@@ -64,9 +64,9 @@ class TestCheckBatchExecution:
     @pytest.fixture
     def batch(self, small_environment):
         engine = RoundEngine(small_environment)
-        condition_arrays = small_environment.sample_condition_arrays()
+        arrays = small_environment.sample_condition_arrays()
         decision = SelectionDecision(participants=small_environment.fleet.device_ids[:8])
-        return engine.execute_batch(decision, condition_arrays)
+        return engine.execute_batch(decision, arrays)
 
     def test_clean_execution_has_no_violations(self, batch):
         assert check_batch_execution(batch) == []
