@@ -14,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.core.actions import ActionCatalog
-from repro.core.qtable import PER_DEVICE, PER_TIER, VectorQTableStore
+from repro.core.qtable import PER_DEVICE, PER_TIER, VectorQTableStore, group_cells
 from repro.core.state import GlobalState, StateEncoder
 from repro.devices.fleet_arrays import TIER_ORDER
 from repro.exceptions import PolicyError
@@ -57,16 +57,29 @@ def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.lexsort((chosen, keys[chosen]))]
 
 
-def runs_of_sorted(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and length of every run of equal values in an already sorted array.
+def row_max(values: np.ndarray) -> np.ndarray:
+    """Each row's max, column by column: far faster than a row-wise reduction over a
+    handful of columns."""
+    best = values[:, 0]
+    for column in range(1, values.shape[1]):
+        best = np.maximum(best, values[:, column])
+    return best
 
-    The ``return_index`` / ``return_counts`` of ``np.unique`` on that array, without
-    the second sort ``np.unique`` would make.
+
+def first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argmax(values, axis=1)`` and the values it picks, for NaN-free ``values``.
+
+    The first column reaching a row's max is the count of leading columns strictly
+    below it, taken column by column.  The values are read back at those columns, so
+    a ``-0.0`` / ``0.0`` tie keeps the chosen cell's sign bit.
     """
-    starts = np.ones(len(sorted_values), dtype=bool)
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
-    first_index = np.flatnonzero(starts)
-    return first_index, np.diff(first_index, append=len(sorted_values))
+    best = row_max(values)
+    below = values[:, 0] < best
+    columns = below.astype(np.intp)
+    for column in range(1, values.shape[1] - 1):
+        below &= values[:, column] < best
+        columns += below
+    return columns, values[np.arange(len(values)), columns]
 
 
 def _skip_idle_slot(matrix: np.ndarray, idle: np.ndarray) -> np.ndarray:
@@ -149,6 +162,12 @@ class VectorAutoFLAgent:
             init_scale=init_scale,
             sharing=qtable_sharing,
         )
+        # Powers of ``1 - lr`` for the batch-synchronous fold, up to the fleet size, the
+        # longest run of transitions one cell can take.  numpy's array power, whose last
+        # bit can differ from Python's float power, is the arithmetic the fold pins.
+        self._decay = (1.0 - self._config.learning_rate) ** np.arange(
+            len(self._device_ids) + 1
+        )
         self._pending: _VectorPending | None = None
         self._reward_history: list[float] = []
 
@@ -219,9 +238,9 @@ class VectorAutoFLAgent:
                 cells = rows[:, None] * (num_actions + 1) + np.arange(num_actions)
                 self._store.initialise([table], cells[unread])
                 values = table.take(rows, axis=0)[:, :num_actions]
-            # First-max-wins argmax, like a strict ``>`` scan over the actions.
-            best_cols = np.argmax(values, axis=1)
-            best_values = values[np.arange(len(values)), best_cols]
+            # First-max-wins argmax, like a strict ``>`` scan over the actions.  Every
+            # cell read is initialised above, so ``values`` holds no NaN.
+            best_cols, best_values = first_max(values)
             # Ties (devices sharing a Q-table entry) are broken randomly to avoid a
             # biased selection among equivalent devices (paper Section 4.2).
             jitter = self._rng.random(len(candidate_rows)) * 1e-6
@@ -356,34 +375,29 @@ class VectorAutoFLAgent:
         """Batch-synchronous update: every bootstrap reads the pre-round table.
 
         Candidates sharing one (key, state, action) cell apply the exact sequential
-        recurrence ``c_{i+1} = (1 - lr) * c_i + lr * t_i`` in candidate order.  Cells hit
-        once use the literal ``c + lr * (t - c)``, so per-device sharing matches the
-        sequential update bit for bit.
+        recurrence ``c_{i+1} = (1 - lr) * c_i + lr * t_i`` in candidate order, unrolled
+        as ``(1 - lr)^n * c_0 + sum_i lr * (1 - lr)^(n - 1 - i) * t_i`` over the ``n``
+        transitions of each cell; :func:`group_cells` groups them and the powers come
+        from the agent's table.  Cells hit once use the literal ``c + lr * (t - c)``, so
+        per-device sharing matches the sequential update bit for bit.
         """
         lr = self._config.learning_rate
-        # Column by column: a row-wise max over a handful of columns is far slower.
-        best_next = next_values[:, 0]
-        for column in range(1, next_values.shape[1]):
-            best_next = np.maximum(best_next, next_values[:, column])
-        targets = rewards + self._config.discount_factor * best_next
-        order = np.argsort(current_cells, kind="stable")
-        sorted_cells = current_cells[order]
-        sorted_targets = targets[order]
-        first_index, counts = runs_of_sorted(sorted_cells)
-        first_current = current[order][first_index]
-        first_targets = sorted_targets[first_index]
-        position = np.arange(len(sorted_cells)) - np.repeat(first_index, counts)
-        group_size = np.repeat(counts, counts)
-        weights = lr * (1.0 - lr) ** (group_size - 1 - position)
-        folded = (1.0 - lr) ** counts * first_current + np.add.reduceat(
-            weights * sorted_targets, first_index
+        targets = rewards + self._config.discount_factor * row_max(next_values)
+        order, first_index, counts = group_cells(current_cells, old_table.size)
+        first = order[first_index]
+        first_current = current[first]
+        first_targets = targets[first]
+        # A transition's power is the number of later transitions on its cell.
+        exponents = np.repeat(first_index + counts - 1, counts) - np.arange(len(order))
+        folded = self._decay[counts] * first_current + np.add.reduceat(
+            lr * self._decay[exponents] * targets[order], first_index
         )
         final = np.where(
             counts == 1,
             first_current + lr * (first_targets - first_current),
             folded,
         )
-        old_table.reshape(-1)[sorted_cells[first_index]] = final
+        old_table.reshape(-1)[current_cells[first]] = final
 
     def flush(self) -> None:
         """Finalise pending updates without a next state (end of a training job).

@@ -20,6 +20,39 @@ PER_TIER = "per-tier"
 SHARING_MODES = (PER_DEVICE, PER_TIER)
 
 
+def runs_of_sorted(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and length of every run of equal values in an already sorted array.
+
+    The ``return_index`` / ``return_counts`` of ``np.unique`` on that array, without
+    the second sort ``np.unique`` would make.
+    """
+    size = len(sorted_values)
+    # The start of every run, then ``size``: the end of the last one.
+    starts = np.ones(size + 1, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:size])
+    bounds = np.flatnonzero(starts)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def group_cells(
+    cells: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group cell ids in ``[0, bound)``: their stable order, then each run's first index
+    and length in that order.
+
+    ``order`` is ``np.argsort(cells, kind="stable")`` and the runs are
+    :func:`runs_of_sorted` of ``cells[order]``.  The sort key is the narrowest unsigned
+    type that holds ``bound - 1``, because numpy's stable sort is a linear radix sort
+    for integers of at most 16 bits: per-tier Q-blocks have a few thousand cells.
+    Wider keys (per-device blocks) take timsort, which is fast on the nearly sorted
+    cells a fleet-order read path hands it.
+    """
+    key = cells.astype(np.min_scalar_type(bound - 1))
+    order = np.argsort(key, kind="stable")
+    first_index, counts = runs_of_sorted(key[order])
+    return order, first_index, counts
+
+
 class VectorQTableStore:
     """Dense Q-value blocks, one per global state, with lazy per-cell initialisation.
 
@@ -96,9 +129,13 @@ class VectorQTableStore:
         order, the unread cells a read path touches, as ``position * size + flat_index``
         into ``tables`` (the flat index of row ``r``, column ``c`` is
         ``r * (num_actions + 1) + c``); a cell read twice is initialised at its first read.
+        The first reads are found by :func:`group_cells`: the first of each run in its
+        stable order is the cell's first read.
         """
-        _, first_read = np.unique(cells, return_index=True)
-        ordered = cells[np.sort(first_read)]
+        order, first_index, _ = group_cells(cells, len(tables) * tables[0].size)
+        first_read = np.zeros(len(cells), dtype=bool)
+        first_read[order[first_index]] = True
+        ordered = cells[first_read]
         if self._init_scale == 0.0:
             values = np.zeros(len(ordered))
         else:

@@ -133,13 +133,18 @@ def test_batched_draws_equal_scalar_draws():
             assert uniforms.tolist() == [scalar.random() for _ in range(size)]
 
 
-NUM_CELLS = 2 * 3 * 3  # num_keys * num_local_codes * (num_actions + 1) below
+#: Store shapes (num_keys, num_local_codes, num_actions).  One or two blocks of 18, 1,440
+#: and 72,000 cells give ``initialise`` 8-, 16- and 32-bit sort keys.
+STORE_SHAPES = [(2, 3, 2), (3, 96, 4), (150, 96, 4)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
+    shape=st.sampled_from(STORE_SHAPES),
+    # The few cells an example reads (-1 is a block's last), so reads repeat in any store.
+    cells=st.lists(st.integers(-1, 2**20), min_size=1, max_size=18),
     touches=st.lists(
-        st.tuples(st.integers(0, 1), st.integers(0, NUM_CELLS - 1)), min_size=1, max_size=50
+        st.tuples(st.integers(0, 1), st.integers(0, 35)), min_size=1, max_size=50
     ),
     cuts=st.lists(st.integers(0, 50), max_size=3),
     two_blocks=st.booleans(),
@@ -147,13 +152,22 @@ NUM_CELLS = 2 * 3 * 3  # num_keys * num_local_codes * (num_actions + 1) below
     seed=st.integers(0, 2**32 - 1),
 )
 def test_first_touch_initialisation_matches_a_lazy_dict(
-    touches, cuts, two_blocks, init_scale, seed
+    shape, cells, touches, cuts, two_blocks, init_scale, seed
 ):
-    if not two_blocks:
-        touches = [(0, flat) for _, flat in touches]
+    num_keys, num_local_codes, num_actions = shape
+    num_cells = num_keys * num_local_codes * (num_actions + 1)
+    # Each cell comes with the one 2**16 further on: the same low 16 bits, another cell.
+    cells = [(cell + shift) % num_cells for cell in cells for shift in (0, 2**16)]
+    touches = [
+        (position if two_blocks else 0, cells[pick % len(cells)]) for position, pick in touches
+    ]
     rng = np.random.default_rng(seed)
     store = VectorQTableStore(
-        num_keys=2, num_local_codes=3, num_actions=2, rng=rng, init_scale=init_scale
+        num_keys=num_keys,
+        num_local_codes=num_local_codes,
+        num_actions=num_actions,
+        rng=rng,
+        init_scale=init_scale,
     )
     blocks = [store.block((0,)), store.block((1,))][: 2 if two_blocks else 1]
     # The lazy reference: a dict entry is drawn the first time its cell is read.
@@ -168,14 +182,14 @@ def test_first_touch_initialisation_matches_a_lazy_dict(
     bounds = [0, *sorted(min(cut, len(touches)) for cut in cuts), len(touches)]
     for start, stop in zip(bounds, bounds[1:]):
         path = [
-            position * NUM_CELLS + flat
+            position * num_cells + flat
             for position, flat in touches[start:stop]
             if np.isnan(blocks[position].reshape(-1)[flat])
         ]
         if path:
             store.initialise(blocks, np.array(path))
     for position, block in enumerate(blocks):
-        expected = np.full(NUM_CELLS, np.nan)
+        expected = np.full(num_cells, np.nan)
         for (cell_position, flat), value in reference.items():
             if cell_position == position:
                 expected[flat] = value
