@@ -17,38 +17,26 @@ Quickstart
 >>> result.summary()  # doctest: +SKIP
 """
 
-from repro.api import build_default_experiment, run_policy_comparison
-from repro.config import GlobalParams, SimulationConfig
-from repro.experiments.runner import (
-    BatchRunner,
-    ExperimentResult,
-    MultiprocessExecutor,
-    SerialExecutor,
-    run_experiment,
-)
-from repro.experiments.spec import ExperimentSpec, Sweep
-from repro.service import ArtifactStore, Job, JobQueue, Scheduler, make_job, open_store
-from repro.sim.scenarios import ScenarioSpec
-from repro.version import __version__
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "ArtifactStore",
-    "BatchRunner",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "GlobalParams",
-    "Job",
-    "JobQueue",
-    "MultiprocessExecutor",
-    "ScenarioSpec",
-    "Scheduler",
-    "SerialExecutor",
-    "SimulationConfig",
-    "Sweep",
-    "build_default_experiment",
-    "make_job",
-    "open_store",
-    "run_experiment",
-    "run_policy_comparison",
-]
+# Names resolve on first access: ``import repro`` loads none of the layers below.
+_EXPORTS = {
+    "repro.api": ("build_default_experiment", "run_policy_comparison"),
+    "repro.config": ("GlobalParams", "SimulationConfig"),
+    "repro.experiments.runner": (
+        "BatchRunner",
+        "ExperimentResult",
+        "MultiprocessExecutor",
+        "SerialExecutor",
+        "run_experiment",
+    ),
+    "repro.experiments.spec": ("ExperimentSpec", "Sweep"),
+    "repro.service.jobs": ("Job", "make_job"),
+    "repro.service.queue": ("JobQueue",),
+    "repro.service.scheduler": ("Scheduler",),
+    "repro.service.store": ("ArtifactStore", "open_store"),
+    "repro.sim.scenarios": ("ScenarioSpec",),
+    "repro.version": ("__version__",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,82 +18,50 @@ compare to the oracle across 10k scenarios?" rather than "is this spec hash cach
 The CLI front-ends are ``python -m repro {ingest,query,report,eval}``.
 """
 
-from repro.analytics.evals import (
-    DEFAULT_THRESHOLDS,
-    EVAL_HEADERS,
-    REPORT_HEADERS,
-    EvalReport,
-    MetricComparison,
-    Threshold,
-    build_comparison_report,
-    parse_threshold,
-    relative_delta,
-    run_regression_eval,
-)
-from repro.analytics.query import (
-    AGGREGATIONS,
-    DEFAULT_GROUP_BY,
-    DEFAULT_METRICS,
-    QueryResult,
-    filter_mask,
-    parse_where,
-    run_query,
-)
-from repro.analytics.schema import (
-    TABLES,
-    WAREHOUSE_SCHEMA_VERSION,
-    bench_rows_from_record,
-    metrics_rows_from_snapshot,
-    round_rows_from_golden,
-    round_rows_from_result,
-    run_row_from_golden,
-    run_row_from_result,
-    run_rows_from_experiment,
-    table_schema,
-)
-from repro.analytics.warehouse import (
-    BACKENDS,
-    DEFAULT_WAREHOUSE_ROOT,
-    NumpyBackend,
-    ParquetBackend,
-    Warehouse,
-    get_backend,
-    have_pyarrow,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATIONS",
-    "BACKENDS",
-    "DEFAULT_GROUP_BY",
-    "DEFAULT_METRICS",
-    "DEFAULT_THRESHOLDS",
-    "DEFAULT_WAREHOUSE_ROOT",
-    "EVAL_HEADERS",
-    "EvalReport",
-    "MetricComparison",
-    "NumpyBackend",
-    "ParquetBackend",
-    "QueryResult",
-    "REPORT_HEADERS",
-    "TABLES",
-    "Threshold",
-    "WAREHOUSE_SCHEMA_VERSION",
-    "Warehouse",
-    "bench_rows_from_record",
-    "build_comparison_report",
-    "filter_mask",
-    "get_backend",
-    "have_pyarrow",
-    "metrics_rows_from_snapshot",
-    "parse_threshold",
-    "parse_where",
-    "relative_delta",
-    "round_rows_from_golden",
-    "round_rows_from_result",
-    "run_query",
-    "run_regression_eval",
-    "run_row_from_golden",
-    "run_row_from_result",
-    "run_rows_from_experiment",
-    "table_schema",
-]
+_EXPORTS = {
+    "repro.analytics.evals": (
+        "DEFAULT_THRESHOLDS",
+        "EVAL_HEADERS",
+        "REPORT_HEADERS",
+        "EvalReport",
+        "MetricComparison",
+        "Threshold",
+        "build_comparison_report",
+        "parse_threshold",
+        "relative_delta",
+        "run_regression_eval",
+    ),
+    "repro.analytics.query": (
+        "DEFAULT_GROUP_BY",
+        "DEFAULT_METRICS",
+        "QueryResult",
+        "filter_mask",
+        "parse_where",
+        "run_query",
+    ),
+    "repro.analytics.schema": (
+        "TABLES",
+        "WAREHOUSE_SCHEMA_VERSION",
+        "bench_rows_from_record",
+        "metrics_rows_from_snapshot",
+        "round_rows_from_golden",
+        "round_rows_from_result",
+        "run_row_from_golden",
+        "run_row_from_result",
+        "run_rows_from_experiment",
+        "table_schema",
+    ),
+    "repro.analytics.warehouse": (
+        "BACKENDS",
+        "NumpyBackend",
+        "ParquetBackend",
+        "Warehouse",
+        "get_backend",
+        "have_pyarrow",
+    ),
+    "repro.defaults": ("AGGREGATIONS", "DEFAULT_WAREHOUSE_ROOT"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,10 +24,8 @@ import numpy as np
 from repro import telemetry
 from repro.analytics.schema import column_kinds
 from repro.analytics.warehouse import Warehouse
+from repro.defaults import AGGREGATIONS
 from repro.exceptions import AnalyticsError
-
-#: Supported aggregation names, in their rendered column order.
-AGGREGATIONS: tuple[str, ...] = ("mean", "p50", "p95", "sum", "min", "max", "count")
 
 #: Default metric columns per table (what ``repro query`` aggregates when unasked).
 DEFAULT_METRICS: dict[str, tuple[str, ...]] = {

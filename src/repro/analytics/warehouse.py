@@ -44,10 +44,8 @@ from repro.analytics.schema import (
     run_rows_from_experiment,
     table_schema,
 )
+from repro.defaults import DEFAULT_WAREHOUSE_ROOT
 from repro.exceptions import AnalyticsError
-
-#: Default on-disk location of the warehouse (relative to the working directory).
-DEFAULT_WAREHOUSE_ROOT = Path(".repro-warehouse")
 
 #: Manifest filename inside the warehouse root.
 MANIFEST_FILENAME = "manifest.json"

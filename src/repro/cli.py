@@ -36,6 +36,10 @@ Tabular commands (``compare``, ``status``, ``query``, ``report``, ``eval``) shar
 ``--format {table,csv,json}`` flag via
 :func:`~repro.experiments.reporting.render_rows`.
 
+Importing this module loads only what the parser needs: the scenario specs, the
+registries, the table renderer and the defaults in :mod:`repro.defaults`.  Each command
+handler imports the layers it runs, so no command pays for a layer it does not use.
+
 ``run``/``compare``/``sweep``/``submit`` accept ``--scenario PRESET`` to start from a
 registered scenario preset (``paper-200``, ``fleet-1k``, ``diurnal-1k``,
 ``flaky-fleet``, ``churn-heavy``, …); any explicitly passed scenario flag overrides the
@@ -79,29 +83,26 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
-from urllib.parse import urlencode, urlsplit
+from typing import TYPE_CHECKING
 
 from repro import telemetry
-from repro.analytics import (
+from repro.defaults import (
     AGGREGATIONS,
+    DEFAULT_DRAIN_GRACE_S,
+    DEFAULT_GOLDEN_DIR,
+    DEFAULT_LEASE_S,
+    DEFAULT_POLL_S,
+    DEFAULT_SERVICE_ROOT,
+    DEFAULT_SQLITE_STORE_PATH,
     DEFAULT_WAREHOUSE_ROOT,
-    EVAL_HEADERS,
-    Warehouse,
-    build_comparison_report,
-    parse_threshold,
-    parse_where,
-    run_query,
-    run_regression_eval,
+    GOLDEN_MAX_ROUNDS,
+    SHED_POLICIES,
 )
 from repro.exceptions import ConfigurationError, QueueSaturated, ReproError
-from repro.experiments.harness import run_policy_comparison
 from repro.experiments.reporting import (
     COMPARISON_HEADERS,
     OUTPUT_FORMATS,
@@ -110,44 +111,16 @@ from repro.experiments.reporting import (
     format_registry,
     render_rows,
 )
-from repro.experiments.runner import BatchRunner, get_executor
-from repro.experiments.spec import ExperimentSpec, Sweep, parse_axis
 from repro.registry import REGISTRIES, get_registry
-from repro.service import (
-    DEFAULT_DRAIN_GRACE_S,
-    DEFAULT_LEASE_S,
-    DEFAULT_POLL_S,
-    DEFAULT_SERVICE_ROOT,
-    DEFAULT_SQLITE_STORE_PATH,
-    EVENTS_FILENAME,
-    SHED_POLICIES,
-    AdmissionPolicy,
-    EventBus,
-    EventLog,
-    JobQueue,
-    JobState,
-    Scheduler,
-    ServiceHttpServer,
-    WebhookDispatcher,
-    WebhookRegistry,
-    deliver_once,
-    event_matches,
-    format_event,
-    make_job,
-    open_store,
-    tail_events,
-)
 from repro.sim.scenarios import ScenarioSpec, get_scenario_preset
 from repro.telemetry import METRICS_FILENAME
-from repro.validation import (
-    DEFAULT_GOLDEN_DIR,
-    GOLDEN_MAX_ROUNDS,
-    GOLDENS,
-    GoldenStore,
-    golden_spec,
-    run_fuzz,
-)
 from repro.version import __version__
+
+if TYPE_CHECKING:
+    from repro.analytics.warehouse import Warehouse
+    from repro.experiments.runner import BatchRunner
+    from repro.experiments.spec import ExperimentSpec
+    from repro.service.queue import JobQueue
 
 #: Default sweep grid: two axes, four points — small enough to demo caching quickly.
 DEFAULT_SWEEP_AXES = ("policy=fedavg-random,autofl", "setting=S1,S3")
@@ -292,6 +265,8 @@ def _add_warehouse_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _warehouse(args: argparse.Namespace) -> Warehouse:
+    from repro.analytics.warehouse import Warehouse
+
     return Warehouse(args.warehouse, backend=getattr(args, "backend", "auto"))
 
 
@@ -304,10 +279,14 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _queue(args: argparse.Namespace) -> JobQueue:
+    from repro.service.queue import JobQueue
+
     return JobQueue(Path(args.root) / "queue")
 
 
 def _events_path(args: argparse.Namespace) -> Path:
+    from repro.service.events import EVENTS_FILENAME
+
     return Path(args.root) / EVENTS_FILENAME
 
 
@@ -345,6 +324,10 @@ def _iter_http_events(
     or a bare ``host:port`` (http is assumed).  Without ``follow``, stops at the
     first empty batch (the backlog is drained).
     """
+    import urllib.error
+    import urllib.request
+    from urllib.parse import urlencode, urlsplit
+
     if "//" not in url:
         url = "http://" + url
     parts = urlsplit(url)
@@ -383,6 +366,8 @@ def _resolve_scenario(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _base_spec(args: argparse.Namespace, policy: str) -> ExperimentSpec:
+    from repro.experiments.spec import ExperimentSpec
+
     return ExperimentSpec(
         scenario=_resolve_scenario(args),
         policy=policy,
@@ -392,6 +377,9 @@ def _base_spec(args: argparse.Namespace, policy: str) -> ExperimentSpec:
 
 
 def _make_runner(args: argparse.Namespace, executor_name: str, jobs: int | None) -> BatchRunner:
+    from repro.experiments.runner import BatchRunner, get_executor
+    from repro.service.store import open_store
+
     store = None if args.no_cache else open_store(args.store)
     return BatchRunner(executor=get_executor(executor_name, jobs), store=store)
 
@@ -405,6 +393,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.harness import run_policy_comparison
+
     policies = tuple(name.strip() for name in args.policies.split(",") if name.strip())
     # Validate the line-up (with did-you-mean errors) before running anything.
     for policy in policies:
@@ -418,6 +408,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.spec import Sweep, parse_axis
+
     base = _base_spec(args, "autofl")
     axes: dict[str, tuple[object, ...]] = {}
     for name, values in (parse_axis(text) for text in (args.axis or list(DEFAULT_SWEEP_AXES))):
@@ -434,6 +426,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------- service commands
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.experiments.spec import Sweep, parse_axis
+    from repro.service.events import EventLog
+    from repro.service.jobs import make_job
+
     base = _base_spec(args, args.policy)
     if args.axis:
         axes: dict[str, tuple[object, ...]] = {}
@@ -493,6 +489,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.eventbus import EventBus, ServiceHttpServer
+    from repro.service.events import EventLog
+    from repro.service.queue import AdmissionPolicy
+    from repro.service.scheduler import Scheduler
+    from repro.service.store import open_store
+    from repro.service.webhooks import WebhookDispatcher
+
     queue = _queue(args)
     # Admission flags persist into the queue root so submitters (usually other
     # processes) enforce them too; --max-depth 0 clears a persisted policy.
@@ -644,6 +647,9 @@ def _lane_rows(queue: JobQueue, jobs) -> list[tuple[object, ...]]:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from repro.service.jobs import JobState
+    from repro.service.store import open_store
+
     queue = _queue(args)
     if args.job_id:
         job = queue.get(args.job_id)
@@ -704,6 +710,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    from repro.service.events import format_event, tail_events
+
     try:
         if args.http:
             for payload in _iter_http_events(
@@ -729,6 +737,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_events_sub(args: argparse.Namespace) -> int:
     """``repro events sub``: one JSON line per event, resumable by ``--cursor``."""
+    from repro.service.events import event_matches, tail_events
+
     emitted = 0
     try:
         if args.http:
@@ -758,6 +768,9 @@ def _cmd_events_sub(args: argparse.Namespace) -> int:
 
 
 def _cmd_webhooks(args: argparse.Namespace) -> int:
+    from repro.service.events import EventLog
+    from repro.service.webhooks import WebhookRegistry, deliver_once
+
     registry = WebhookRegistry(args.root)
     if args.webhooks_action == "add":
         hook = registry.add(
@@ -806,6 +819,9 @@ def _cmd_webhooks(args: argparse.Namespace) -> int:
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
+    from repro.service.events import EventLog
+    from repro.service.jobs import JobState
+
     job = _queue(args).cancel(args.job_id)
     EventLog(_events_path(args)).emit("cancel_requested", job_id=args.job_id)
     if job.state is JobState.CANCELLED:
@@ -816,6 +832,8 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.service.queue import JobQueue
+
     registry = telemetry.MetricsRegistry(enabled=True)
     path = Path(args.file) if args.file else Path(args.root) / METRICS_FILENAME
     snapshot_ts = None
@@ -870,6 +888,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _run_traced_job(args: argparse.Namespace) -> list:
     """Run one job through every layer — engine, scheduler, warehouse — with the span
     sink attached, inside a throwaway service root; returns the collected spans."""
+    import tempfile
+
+    from repro.analytics.query import run_query
+    from repro.analytics.warehouse import Warehouse
+    from repro.experiments.spec import ExperimentSpec
+    from repro.service.events import EVENTS_FILENAME, EventLog
+    from repro.service.jobs import JobState, make_job
+    from repro.service.queue import JobQueue
+    from repro.service.scheduler import Scheduler
+    from repro.service.store import open_store
+
     base = (
         get_scenario_preset(args.scenario)
         if args.scenario
@@ -913,7 +942,11 @@ def _run_traced_job(args: argparse.Namespace) -> list:
             telemetry.configure(enabled=was_enabled, trace_path=old_sink)
 
 
-def _parse_goldens(raw: str) -> tuple[str, ...]:
+def _parse_goldens(raw: str | None) -> tuple[str, ...]:
+    from repro.validation.golden import GOLDENS
+
+    if raw is None:
+        return tuple(GOLDENS)
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
     if not names:
         raise ConfigurationError(f"no golden names in {raw!r}")
@@ -925,6 +958,8 @@ def _parse_goldens(raw: str) -> tuple[str, ...]:
 
 
 def _cmd_validate_record(args: argparse.Namespace) -> int:
+    from repro.validation.golden import GoldenStore, golden_spec
+
     store = GoldenStore(args.dir)
     for name in _parse_goldens(args.presets):
         golden = store.record(name, golden_spec(name, max_rounds=args.rounds))
@@ -936,6 +971,8 @@ def _cmd_validate_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_check(args: argparse.Namespace) -> int:
+    from repro.validation.golden import GoldenStore
+
     store = GoldenStore(args.dir)
     reports = [store.check(name) for name in _parse_goldens(args.presets)]
     for report in reports:
@@ -949,6 +986,8 @@ def _cmd_validate_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_fuzz(args: argparse.Namespace) -> int:
+    from repro.validation.fuzzer import run_fuzz
+
     report = run_fuzz(count=args.count, budget_s=args.budget, seed=args.seed)
     print(report.format())
     if args.report:
@@ -999,6 +1038,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.analytics.query import parse_where, run_query
+
     table = "bench" if args.bench else args.table
     result = run_query(
         _warehouse(args),
@@ -1026,6 +1067,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analytics.evals import build_comparison_report
+    from repro.analytics.query import parse_where
+
     headers, rows = build_comparison_report(
         _warehouse(args),
         where=parse_where(args.where or ()),
@@ -1036,6 +1080,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from repro.analytics.evals import EVAL_HEADERS, parse_threshold, run_regression_eval
+
     suite = (
         tuple(name.strip() for name in args.suite.split(",") if name.strip())
         if args.suite
@@ -1474,14 +1520,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="golden-trajectory regression and invariant validation",
     )
     validate_sub = validate_parser.add_subparsers(dest="mode", required=True)
-    default_goldens = ",".join(GOLDENS)
 
     record_parser = validate_sub.add_parser(
         "record", help="record golden trajectories (every committed golden by default)"
     )
     record_parser.add_argument(
         "--presets",
-        default=default_goldens,
+        default=None,
         help="comma-separated golden names or scenario presets (default: every golden)",
     )
     record_parser.add_argument(
@@ -1501,7 +1546,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--presets",
-        default=default_goldens,
+        default=None,
         help="comma-separated golden names (default: every committed golden)",
     )
     check_parser.add_argument(

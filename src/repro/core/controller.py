@@ -148,15 +148,20 @@ class AutoFLPolicy(Policy):
         # Rewards land on the round's observable candidates — the devices the agent
         # holds pending transitions for (offline devices got no transition).  Mid-round
         # failures take the penalty branch, so the Q-tables learn to avoid re-selecting
-        # unreliable devices in that (state, action).
-        candidate_rows = self._candidate_rows(ctx)
+        # unreliable devices in that (state, action).  With every device online the
+        # candidates are the whole fleet, so the fleet-order arrays pass through as they are.
+        if ctx.online_mask is not None:
+            candidate_rows = self._candidate_rows(ctx)
+            fleet_energy = fleet_energy[candidate_rows]
+            selected_mask = selected_mask[candidate_rows]
+            failed_mask = failed_mask[candidate_rows]
         rewards = self._reward.rewards_batch(
             global_energy_j=global_energy,
-            local_energy_j=fleet_energy[candidate_rows],
+            local_energy_j=fleet_energy,
             accuracy=training.accuracy,
             previous_accuracy=training.previous_accuracy,
-            selected=selected_mask[candidate_rows],
-            failed=failed_mask[candidate_rows],
+            selected=selected_mask,
+            failed=failed_mask,
         )
         agent.record_rewards(rewards)
 

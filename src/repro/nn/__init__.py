@@ -7,51 +7,28 @@ computation, plus per-layer FLOP / memory-traffic accounting that feeds the devi
 performance and energy models.
 """
 
-from repro.nn.layers import (
-    AvgPool2D,
-    Conv2D,
-    Dense,
-    DepthwiseConv2D,
-    Dropout,
-    Embedding,
-    Flatten,
-    GlobalAvgPool2D,
-    LSTM,
-    Layer,
-    MaxPool2D,
-    ReLU,
-)
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.model import Sequential
-from repro.nn.models import build_cnn_mnist, build_lstm_shakespeare, build_mobilenet_lite
-from repro.nn.optimizers import ProximalSGD, SGD
-from repro.nn.workloads import (
-    WORKLOAD_PROFILES,
-    WorkloadProfile,
-    get_workload_profile,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvgPool2D",
-    "Conv2D",
-    "Dense",
-    "DepthwiseConv2D",
-    "Dropout",
-    "Embedding",
-    "Flatten",
-    "GlobalAvgPool2D",
-    "LSTM",
-    "Layer",
-    "MaxPool2D",
-    "ProximalSGD",
-    "ReLU",
-    "SGD",
-    "Sequential",
-    "SoftmaxCrossEntropy",
-    "WORKLOAD_PROFILES",
-    "WorkloadProfile",
-    "build_cnn_mnist",
-    "build_lstm_shakespeare",
-    "build_mobilenet_lite",
-    "get_workload_profile",
-]
+_EXPORTS = {
+    "repro.nn.layers": (
+        "AvgPool2D",
+        "Conv2D",
+        "Dense",
+        "DepthwiseConv2D",
+        "Dropout",
+        "Embedding",
+        "Flatten",
+        "GlobalAvgPool2D",
+        "LSTM",
+        "Layer",
+        "MaxPool2D",
+        "ReLU",
+    ),
+    "repro.nn.losses": ("SoftmaxCrossEntropy",),
+    "repro.nn.model": ("Sequential",),
+    "repro.nn.models": ("build_cnn_mnist", "build_lstm_shakespeare", "build_mobilenet_lite"),
+    "repro.nn.optimizers": ("ProximalSGD", "SGD"),
+    "repro.nn.workloads": ("WORKLOAD_PROFILES", "WorkloadProfile", "get_workload_profile"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,108 +27,69 @@ that many clients can drive concurrently:
 The CLI front-ends are ``python -m repro {serve,submit,status,watch,events,webhooks,cancel}``.
 """
 
-from repro.service.eventbus import (
-    DEFAULT_MAX_SUBSCRIBER_QUEUE,
-    EventBus,
-    ServiceHttpServer,
-    Subscription,
-)
-from repro.service.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENTS_FILENAME,
-    EventIndex,
-    EventLog,
-    SeqCounter,
-    event_matches,
-    format_event,
-    read_events_since,
-    tail_events,
-)
-from repro.service.jobs import (
-    JOB_SCHEMA_VERSION,
-    TERMINAL_STATES,
-    Job,
-    JobState,
-    derive_lane,
-    hash_lane,
-    make_job,
-    submit_provenance,
-)
-from repro.service.queue import (
-    ADMISSION_FILENAME,
-    CLAIM_GRACE_S,
-    DEFAULT_LEASE_S,
-    DEFAULT_SERVICE_ROOT,
-    SHED_POLICIES,
-    AdmissionPolicy,
-    JobQueue,
-)
-from repro.service.scheduler import DEFAULT_DRAIN_GRACE_S, DEFAULT_POLL_S, Scheduler
-from repro.service.store import (
-    DEFAULT_SQLITE_STORE_PATH,
-    DEFAULT_STORE_SHARDS,
-    STORE_SCHEMA_VERSION,
-    ArtifactStore,
-    ShardedStore,
-    migrate_jsonl,
-    open_store,
-)
-from repro.service.webhooks import (
-    DEADLETTER_FILENAME,
-    WEBHOOKS_FILENAME,
-    Webhook,
-    WebhookDispatcher,
-    WebhookRegistry,
-    deliver_once,
-    sign_payload,
-    verify_signature,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADMISSION_FILENAME",
-    "AdmissionPolicy",
-    "ArtifactStore",
-    "CLAIM_GRACE_S",
-    "DEADLETTER_FILENAME",
-    "DEFAULT_DRAIN_GRACE_S",
-    "DEFAULT_LEASE_S",
-    "DEFAULT_MAX_SUBSCRIBER_QUEUE",
-    "DEFAULT_POLL_S",
-    "DEFAULT_SERVICE_ROOT",
-    "DEFAULT_SQLITE_STORE_PATH",
-    "DEFAULT_STORE_SHARDS",
-    "EVENTS_FILENAME",
-    "EVENT_SCHEMA_VERSION",
-    "EventBus",
-    "EventIndex",
-    "EventLog",
-    "JOB_SCHEMA_VERSION",
-    "Job",
-    "JobQueue",
-    "JobState",
-    "SHED_POLICIES",
-    "STORE_SCHEMA_VERSION",
-    "Scheduler",
-    "SeqCounter",
-    "ServiceHttpServer",
-    "ShardedStore",
-    "Subscription",
-    "TERMINAL_STATES",
-    "WEBHOOKS_FILENAME",
-    "Webhook",
-    "WebhookDispatcher",
-    "WebhookRegistry",
-    "deliver_once",
-    "derive_lane",
-    "event_matches",
-    "format_event",
-    "hash_lane",
-    "make_job",
-    "migrate_jsonl",
-    "open_store",
-    "read_events_since",
-    "sign_payload",
-    "submit_provenance",
-    "tail_events",
-    "verify_signature",
-]
+_EXPORTS = {
+    "repro.defaults": (
+        "DEFAULT_DRAIN_GRACE_S",
+        "DEFAULT_LEASE_S",
+        "DEFAULT_POLL_S",
+        "DEFAULT_SERVICE_ROOT",
+        "DEFAULT_SQLITE_STORE_PATH",
+        "SHED_POLICIES",
+    ),
+    "repro.service.eventbus": (
+        "DEFAULT_MAX_SUBSCRIBER_QUEUE",
+        "EventBus",
+        "ServiceHttpServer",
+        "Subscription",
+    ),
+    "repro.service.events": (
+        "EVENT_SCHEMA_VERSION",
+        "EVENTS_FILENAME",
+        "EventIndex",
+        "EventLog",
+        "SeqCounter",
+        "event_matches",
+        "format_event",
+        "read_events_since",
+        "tail_events",
+    ),
+    "repro.service.jobs": (
+        "JOB_SCHEMA_VERSION",
+        "TERMINAL_STATES",
+        "Job",
+        "JobState",
+        "derive_lane",
+        "hash_lane",
+        "make_job",
+        "submit_provenance",
+    ),
+    "repro.service.queue": (
+        "ADMISSION_FILENAME",
+        "CLAIM_GRACE_S",
+        "AdmissionPolicy",
+        "JobQueue",
+    ),
+    "repro.service.scheduler": ("Scheduler",),
+    "repro.service.store": (
+        "DEFAULT_STORE_SHARDS",
+        "STORE_SCHEMA_VERSION",
+        "ArtifactStore",
+        "ShardedStore",
+        "migrate_jsonl",
+        "open_store",
+    ),
+    "repro.service.webhooks": (
+        "DEADLETTER_FILENAME",
+        "WEBHOOKS_FILENAME",
+        "Webhook",
+        "WebhookDispatcher",
+        "WebhookRegistry",
+        "deliver_once",
+        "sign_payload",
+        "verify_signature",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -45,11 +45,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
+from repro.defaults import DEFAULT_LEASE_S, SHED_POLICIES
+from repro.defaults import DEFAULT_SERVICE_ROOT as DEFAULT_SERVICE_ROOT
 from repro.exceptions import QueueSaturated, ServiceError
 from repro.service.jobs import TERMINAL_STATES, Job, JobState
-
-#: Default lease duration; workers renew at half this interval while a job runs.
-DEFAULT_LEASE_S = 60.0
 
 #: Grace period for claimed bodies with no (or a fresh) lease and for orphaned
 #: sidecar files.  A lease-less body younger than this is assumed to be a claim in
@@ -57,13 +56,6 @@ DEFAULT_LEASE_S = 60.0
 #: the window between a claim's lease write and its rename is two adjacent syscalls,
 #: so five seconds is orders of magnitude more than enough.
 CLAIM_GRACE_S = 5.0
-
-#: Default on-disk location of the service root (queue + event log).
-DEFAULT_SERVICE_ROOT = Path(".repro-service")
-
-#: What a saturated queue does with a new submission: refuse it outright, or shed
-#: a strictly-lower-priority queued job to make room (refusing when none exists).
-SHED_POLICIES = ("reject", "drop-lowest-priority")
 
 #: Admission policy persisted inside the queue root by ``serve`` so ``submit``
 #: (usually a different process) enforces the same thresholds.

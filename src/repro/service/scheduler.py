@@ -47,23 +47,20 @@ import time
 import traceback
 from pathlib import Path
 
+# A ``validate=True`` job child audits its rounds with the invariant checkers; loaded
+# here, every forked child inherits them instead of importing them for each job.
+import repro.validation.invariants  # noqa: F401
 from repro import telemetry
+from repro.defaults import DEFAULT_DRAIN_GRACE_S, DEFAULT_LEASE_S, DEFAULT_POLL_S
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentResult, StoreBackend, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.service.events import EventLog
 from repro.service.jobs import Job, JobState
-from repro.service.queue import DEFAULT_LEASE_S, JobQueue
-
-#: Default idle-poll interval of a worker with an empty queue.
-DEFAULT_POLL_S = 0.5
+from repro.service.queue import JobQueue
 
 #: Grace period for a terminated child to exit before it is force-killed.
 _CHILD_GRACE_S = 5.0
-
-#: How long a graceful drain (SIGTERM/SIGINT) lets an in-flight grid point keep
-#: running before it is terminated and the job requeued without spending a retry.
-DEFAULT_DRAIN_GRACE_S = 30.0
 
 #: Forking from a multi-threaded scheduler is serialised to keep the child's view of
 #: interpreter locks consistent (the child only simulates and writes to its pipe, but

@@ -31,6 +31,7 @@ import time
 import warnings
 from pathlib import Path
 
+from repro.defaults import DEFAULT_SQLITE_STORE_PATH as DEFAULT_SQLITE_STORE_PATH
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.experiments.runner import (
     RESULT_SCHEMA_VERSION,
@@ -42,9 +43,6 @@ from repro.experiments.spec import SPEC_SCHEMA_VERSION, ExperimentSpec
 
 #: Bumped whenever the database layout changes.
 STORE_SCHEMA_VERSION = 1
-
-#: Default on-disk location of the SQLite store (the service-era default backend).
-DEFAULT_SQLITE_STORE_PATH = Path(".repro-results") / "results.sqlite"
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS results (

@@ -15,57 +15,34 @@ Three complementary guards keep the fast-moving simulator layers honest:
 ``BatchRunner(validate=True)`` self-checks every executed sweep point.
 """
 
-from repro.validation.fuzzer import FuzzFailure, FuzzReport, run_fuzz, sample_spec
-from repro.validation.golden import (
-    DEFAULT_GOLDEN_DIR,
-    GOLDEN_MAX_ROUNDS,
-    GOLDEN_POLICY,
-    GOLDEN_PRESETS,
-    GOLDEN_SCHEMA_VERSION,
-    GOLDENS,
-    Divergence,
-    DriftReport,
-    GoldenStore,
-    GoldenTrajectory,
-    diff_trajectories,
-    golden_spec,
-    run_trajectory,
-    trajectory_rows,
-)
-from repro.validation.invariants import (
-    InvariantAuditor,
-    InvariantViolation,
-    ValidationReport,
-    check_batch_execution,
-    check_round_execution,
-    check_round_record,
-    check_simulation_result,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_GOLDEN_DIR",
-    "Divergence",
-    "DriftReport",
-    "FuzzFailure",
-    "FuzzReport",
-    "GOLDEN_MAX_ROUNDS",
-    "GOLDEN_POLICY",
-    "GOLDEN_PRESETS",
-    "GOLDEN_SCHEMA_VERSION",
-    "GOLDENS",
-    "GoldenStore",
-    "GoldenTrajectory",
-    "InvariantAuditor",
-    "InvariantViolation",
-    "ValidationReport",
-    "check_batch_execution",
-    "check_round_execution",
-    "check_round_record",
-    "check_simulation_result",
-    "diff_trajectories",
-    "golden_spec",
-    "run_fuzz",
-    "run_trajectory",
-    "sample_spec",
-    "trajectory_rows",
-]
+_EXPORTS = {
+    "repro.defaults": ("DEFAULT_GOLDEN_DIR", "GOLDEN_MAX_ROUNDS"),
+    "repro.validation.fuzzer": ("FuzzFailure", "FuzzReport", "run_fuzz", "sample_spec"),
+    "repro.validation.golden": (
+        "GOLDEN_POLICY",
+        "GOLDEN_PRESETS",
+        "GOLDEN_SCHEMA_VERSION",
+        "GOLDENS",
+        "Divergence",
+        "DriftReport",
+        "GoldenStore",
+        "GoldenTrajectory",
+        "diff_trajectories",
+        "golden_spec",
+        "run_trajectory",
+        "trajectory_rows",
+    ),
+    "repro.validation.invariants": (
+        "InvariantAuditor",
+        "InvariantViolation",
+        "ValidationReport",
+        "check_batch_execution",
+        "check_round_execution",
+        "check_round_record",
+        "check_simulation_result",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.defaults import DEFAULT_GOLDEN_DIR, GOLDEN_MAX_ROUNDS
 from repro.exceptions import ValidationError
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import SPEC_SCHEMA_VERSION, ExperimentSpec
@@ -37,15 +38,8 @@ from repro.sim.scenarios import get_scenario_preset
 #: reported (with both versions) instead of mis-compared.
 GOLDEN_SCHEMA_VERSION = 1
 
-#: Default on-disk location of the golden store (relative to the repository root).
-DEFAULT_GOLDEN_DIR = Path("goldens")
-
 #: The shipped presets pinned by committed golden fixtures.
 GOLDEN_PRESETS: tuple[str, ...] = ("fleet-1k", "diurnal-1k", "flaky-fleet", "churn-heavy")
-
-#: Rounds recorded per golden: enough to exercise selection, faults and availability
-#: while keeping a full golden-check run well under a CI minute.
-GOLDEN_MAX_ROUNDS = 5
 
 #: Policy run in the shipped goldens (the learning policy exercises the feedback path).
 GOLDEN_POLICY = "autofl"

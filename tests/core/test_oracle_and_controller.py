@@ -22,6 +22,26 @@ def _context(environment, accuracy=0.1, conditions=None):
     )
 
 
+def _reward_inputs(environment, backend, monkeypatch, online_mask=None):
+    """One AutoFL round; returns what ``feedback`` handed ``rewards_batch``, and the batch."""
+    policy = AutoFLPolicy(rng=np.random.default_rng(0))
+    rewarded = []
+    rewards_batch = policy._reward.rewards_batch
+
+    def spy(**kwargs):
+        rewarded.append(kwargs)
+        return rewards_batch(**kwargs)
+
+    monkeypatch.setattr(policy._reward, "rewards_batch", spy)
+    conditions = environment.sample_condition_arrays()
+    ctx = RoundContext(0, environment, conditions, backend.accuracy, online_mask=online_mask)
+    decision = policy.select(ctx)
+    batch = RoundEngine(environment).execute_batch(decision, conditions)
+    policy.feedback(ctx, decision, batch, backend.run_round(batch.participant_ids))
+    (kwargs,) = rewarded
+    return kwargs, batch
+
+
 @pytest.fixture
 def heterogeneous_environment():
     spec = ScenarioSpec(
@@ -134,6 +154,27 @@ class TestAutoFLPolicy:
             policy.feedback(ctx, decision, batch, training)
         assert len(policy.reward_history()) == 5
         assert policy.agent.qtable_store.total_entries() > 0
+
+    def test_all_online_feedback_rewards_the_fleet_arrays_uncopied(
+        self, small_environment, small_backend, monkeypatch
+    ):
+        # With no online mask every device is a candidate, in fleet order, so the reward
+        # reads the round's own energies rather than a copy gathered by np.arange(N).
+        kwargs, batch = _reward_inputs(small_environment, small_backend, monkeypatch)
+        assert kwargs["local_energy_j"] is batch.fleet_energy_j
+        assert len(kwargs["selected"]) == len(kwargs["failed"]) == len(small_environment.fleet)
+
+    def test_online_mask_restricts_the_rewards_to_the_candidates(
+        self, small_environment, small_backend, monkeypatch
+    ):
+        online = np.ones(len(small_environment.fleet), dtype=bool)
+        online[::3] = False
+        rows = np.flatnonzero(online)
+        kwargs, batch = _reward_inputs(small_environment, small_backend, monkeypatch, online)
+        np.testing.assert_array_equal(kwargs["local_energy_j"], batch.fleet_energy_j[rows])
+        selected = np.isin(small_environment.fleet_arrays.device_ids, batch.participant_ids)
+        np.testing.assert_array_equal(kwargs["selected"], selected[rows])
+        assert len(kwargs["failed"]) == len(rows)
 
     def test_qtable_sharing_mode_respected(self, small_environment, small_backend):
         policy = AutoFLPolicy(rng=np.random.default_rng(0), qtable_sharing=PER_DEVICE)

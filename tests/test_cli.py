@@ -542,15 +542,16 @@ class TestOutputFormats:
 
 class TestWatchInterrupt:
     def test_follow_interrupt_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        # Ctrl-C in `watch -f` must exit 0 without a traceback, not 130.
-        import repro.cli as cli
+        # Ctrl-C in `watch -f` must exit 0 without a traceback, not 130.  The handler
+        # imports tail_events from the event log module when it runs.
+        from repro.service import events
 
         def _interrupted(path, follow=False):
             assert follow
             raise KeyboardInterrupt
             yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(cli, "tail_events", _interrupted)
+        monkeypatch.setattr(events, "tail_events", _interrupted)
         code, _out, _err = _run(
             ["watch", "-f", "--root", str(tmp_path / "service")], capsys
         )
