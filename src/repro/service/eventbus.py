@@ -41,7 +41,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import telemetry
 from repro.exceptions import ServiceError
-from repro.service.events import EventIndex, event_matches, read_events_since
+from repro.service.events import EventIndex, event_matches, read_events_since, tail_events
 
 __all__ = [
     "DEFAULT_MAX_SUBSCRIBER_QUEUE",
@@ -130,11 +130,12 @@ class Subscription:
 class EventBus:
     """Single-follower fan-out over one event log, with durable-cursor tracking.
 
-    The follower reads via :func:`read_events_since`, so each delivered payload
-    carries its ``cursor`` and :meth:`wait_for` can park long-poll handlers until
-    the bus has consumed past a given cursor.  ``since_cursor=None`` starts at the
-    current end of the log (subscribers see only new events); pass ``0`` to replay
-    everything through the bus.
+    The follower is one :func:`tail_events` generator that keeps its byte offset and
+    wakes on :meth:`poke`, so each delivered payload carries its ``cursor`` and
+    :meth:`wait_for` can park long-poll handlers until the bus has consumed past a
+    given cursor.  ``since_cursor=None`` starts at the current end of the log
+    (subscribers see only new events); pass ``0`` to replay everything through the
+    bus.
     """
 
     def __init__(
@@ -233,36 +234,41 @@ class EventBus:
     # -- follower ----------------------------------------------------------
 
     def _follow(self) -> None:
-        while not self._stop.is_set():
-            batch, last = read_events_since(self.path, self.cursor)
-            if last > self.cursor or batch:
-                self._publish(batch, last)
-            else:
-                self._wake.wait(self.poll_s)
-                self._wake.clear()
+        # One incremental tail from the start cursor: it seeks once, then keeps its own
+        # byte offset, so a wake-up reads only the bytes appended since the last one.
+        for payload in tail_events(
+            self.path,
+            follow=True,
+            poll_s=self.poll_s,
+            stop=self._stop.is_set,
+            since_cursor=self._cursor,
+            wait=self._wait,
+        ):
+            self._publish(payload)
 
-    def _publish(self, batch: list[dict], last: int) -> None:
+    def _wait(self, timeout: float) -> None:
+        """Sleep until an in-process emit pokes the bus, or ``timeout`` passes."""
+        self._wake.wait(timeout)
+        self._wake.clear()
+
+    def _publish(self, payload: dict) -> None:
         with self._lock:
             targets = list(self._subscribers)
-        dropped: list[Subscription] = []
-        for payload in batch:
-            for subscription in targets:
-                if subscription in dropped or subscription.closed:
-                    continue
-                if not event_matches(payload, job=subscription.job, events=subscription.events):
-                    continue
-                if not subscription._offer(payload):
-                    dropped.append(subscription)
-        for subscription in dropped:
-            self.unsubscribe(subscription)
-            registry = telemetry.get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "repro_subscriber_lagged_total",
-                    help="In-process subscribers dropped for not draining their queue.",
-                ).inc()
+        for subscription in targets:
+            if subscription.closed or not event_matches(
+                payload, job=subscription.job, events=subscription.events
+            ):
+                continue
+            if not subscription._offer(payload):
+                self.unsubscribe(subscription)
+                registry = telemetry.get_registry()
+                if registry.enabled:
+                    registry.counter(
+                        "repro_subscriber_lagged_total",
+                        help="In-process subscribers dropped for not draining their queue.",
+                    ).inc()
         with self._advanced:
-            self._cursor = last
+            self._cursor = payload["cursor"]
             self._advanced.notify_all()
 
     def _set_subscriber_gauge(self, count: int) -> None:

@@ -21,8 +21,9 @@ service root can never mint duplicate seqs for the same job.
 
 ``python -m repro watch`` is a thin wrapper over :func:`tail_events`, which replays
 the existing log and can then follow the file as it grows (like ``tail -f``); the
-long-poll/SSE endpoints of :mod:`repro.service.eventbus` and the webhook dispatcher
-of :mod:`repro.service.webhooks` are built on :func:`read_events_since`.
+event bus of :mod:`repro.service.eventbus` follows the log with it too.  The
+long-poll/SSE endpoints of that module and the webhook dispatcher of
+:mod:`repro.service.webhooks` read with :func:`read_events_since`.
 """
 
 from __future__ import annotations

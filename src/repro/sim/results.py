@@ -88,8 +88,9 @@ class BatchRoundExecution:
     produced it; ``idle_j`` is fleet-length (fleet order) and zero at participant rows.
     The container exposes the same aggregate quantities as :class:`RoundExecution`
     without materialising per-device Python objects — :meth:`to_execution` converts to
-    the scalar representation for the few consumers that need one (the invariant
-    auditor's cross-check, round observers that want per-device outcomes).
+    the scalar representation for a consumer that wants per-device outcomes (the
+    scalar test oracles, an ad-hoc round observer); the simulator, its policies and
+    the invariant auditor read the arrays.
     """
 
     selected_ids: np.ndarray

@@ -3,8 +3,8 @@
 Three complementary guards keep the fast-moving simulator layers honest:
 
 * :mod:`repro.validation.invariants` — machine-checked accounting identities over any
-  round execution or simulation result (energy sums, id partitions, round-time and
-  online-population bounds);
+  batch round execution, round record or simulation result (energy sums, id
+  partitions, round-time and online-population bounds);
 * :mod:`repro.validation.golden` — record/check/diff of compact per-round trajectory
   snapshots keyed by spec hash, so refactors prove themselves behaviour-preserving
   bit-for-bit on the shipped scenario presets;
@@ -39,7 +39,6 @@ _EXPORTS = {
         "InvariantViolation",
         "ValidationReport",
         "check_batch_execution",
-        "check_round_execution",
         "check_round_record",
         "check_simulation_result",
     ),

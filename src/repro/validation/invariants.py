@@ -2,12 +2,14 @@
 
 The round engine and the simulation runner promise a handful of physical identities
 regardless of scenario — the checkers here audit any
-:class:`~repro.sim.results.RoundExecution`, :class:`~repro.sim.results.BatchRoundExecution`
-or :class:`~repro.sim.results.SimulationResult` against them:
+:class:`~repro.sim.results.BatchRoundExecution`, :class:`~repro.sim.results.RoundRecord`
+or :class:`~repro.sim.results.SimulationResult` against them, on arrays and stored
+records alone (no per-device object is built):
 
 * **energy accounting** — the round's global energy equals the sum of the per-device
   energies (participants' compute + radio + waiting, plus the idle draw of every
-  non-selected online device), and the array-sum and per-device-object views agree;
+  non-selected online device): the batch's fleet rows hold its selected devices, and
+  the global total equals the idle total plus the participant total;
 * **id partition** — the participant, dropped (straggler) and failed (fault) id sets are
   pairwise disjoint and together exactly cover the selected set;
 * **round time** — the round closes when the slowest retained participant finishes: the
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.sim.results import BatchRoundExecution, RoundExecution, RoundRecord, SimulationResult
+from repro.sim.results import BatchRoundExecution, RoundRecord, SimulationResult
 
-#: Absolute tolerance for identities re-computed along a different float path (e.g. the
-#: array sum versus the per-device Python sum of the same energies).
+#: Relative tolerance for identities re-computed along a different float path (e.g. the
+#: fleet-order global sum versus the idle total plus the participant total).
 ENERGY_RTOL = 1e-9
 
 #: Absolute floor below which energy/time comparisons switch to absolute tolerance.
@@ -120,115 +122,6 @@ def _violation(
 
 
 # ---------------------------------------------------------------------- round executions
-def check_round_execution(
-    execution: RoundExecution, round_index: int | None = None
-) -> list[InvariantViolation]:
-    """Audit one scalar :class:`RoundExecution` against the round-level identities."""
-    violations: list[InvariantViolation] = []
-    selected = set(execution.outcomes)
-    participants = set(execution.participant_ids)
-    dropped = set(execution.dropped_ids)
-    failed = set(execution.failed_ids)
-
-    # Participant/dropped/failed partition the selected set.
-    overlaps = (participants & dropped) | (participants & failed) | (dropped & failed)
-    if overlaps:
-        violations.append(
-            _violation(
-                "id-partition",
-                f"participant/dropped/failed sets overlap on {sorted(overlaps)[:5]}",
-                round_index,
-            )
-        )
-    union = participants | dropped | failed
-    if union != selected:
-        violations.append(
-            _violation(
-                "id-partition",
-                f"participant ∪ dropped ∪ failed ({len(union)} ids) does not cover the "
-                f"selected set ({len(selected)} ids)",
-                round_index,
-            )
-        )
-
-    # The round closes with the slowest retained participant.
-    retained_times = [
-        outcome.total_time_s
-        for outcome in execution.outcomes.values()
-        if not outcome.dropped and not outcome.failed
-    ]
-    if retained_times and not _close(execution.round_time_s, max(retained_times)):
-        violations.append(
-            _violation(
-                "round-time",
-                f"round_time_s={execution.round_time_s!r} but the slowest retained "
-                f"participant took {max(retained_times)!r}",
-                round_index,
-            )
-        )
-
-    # Round energy equals the sum of the per-device energies: every selected device's
-    # account entry matches its outcome, non-selected devices are idle-only, and the
-    # global total is exactly their sum.
-    per_device = execution.energy.per_device
-    device_sum = 0.0
-    for device_id, energy in per_device.items():
-        device_sum += energy.total_j
-        outcome = execution.outcomes.get(device_id)
-        if outcome is not None:
-            if not _close(energy.total_j, outcome.energy.total_j):
-                violations.append(
-                    _violation(
-                        "energy-accounting",
-                        f"device {device_id}: account total {energy.total_j!r} J != "
-                        f"outcome total {outcome.energy.total_j!r} J",
-                        round_index,
-                    )
-                )
-        elif energy.compute_j != 0.0 or energy.communication_j != 0.0:
-            violations.append(
-                _violation(
-                    "energy-accounting",
-                    f"non-selected device {device_id} drew active energy "
-                    f"(compute={energy.compute_j!r}, radio={energy.communication_j!r})",
-                    round_index,
-                )
-            )
-    missing = selected - set(per_device)
-    if missing:
-        violations.append(
-            _violation(
-                "energy-accounting",
-                f"selected devices missing from the energy account: {sorted(missing)[:5]}",
-                round_index,
-            )
-        )
-    if not _close(execution.energy.global_j, device_sum):
-        violations.append(
-            _violation(
-                "energy-accounting",
-                f"global energy {execution.energy.global_j!r} J != per-device sum "
-                f"{device_sum!r} J",
-                round_index,
-            )
-        )
-
-    # Failures never transmit and never wait for the aggregated model.
-    for device_id in failed:
-        outcome = execution.outcomes[device_id]
-        if outcome.communication_time_s != 0.0 or outcome.energy.communication_j != 0.0:
-            violations.append(
-                _violation(
-                    "failure-semantics",
-                    f"failed device {device_id} still transmitted "
-                    f"({outcome.communication_time_s!r} s, "
-                    f"{outcome.energy.communication_j!r} J)",
-                    round_index,
-                )
-            )
-    return violations
-
-
 def check_batch_execution(
     batch: BatchRoundExecution,
     online_mask: np.ndarray | None = None,
@@ -236,7 +129,7 @@ def check_batch_execution(
 ) -> list[InvariantViolation]:
     """Audit one :class:`BatchRoundExecution` (the vectorised engine's native output).
 
-    The cross-representation energy identity materialises the batch's scalar view.
+    Every identity is checked on the batch arrays; no per-device object is built.
     """
     violations: list[InvariantViolation] = []
     dropped = np.asarray(batch.dropped, dtype=bool)
@@ -293,8 +186,8 @@ def check_batch_execution(
             )
 
     # Selected rows never also idle; offline devices draw zero idle energy.
-    selected_rows = np.isin(batch.fleet_device_ids, batch.selected_ids)
-    if np.any(batch.idle_j[selected_rows] != 0.0):
+    rows = batch.rows
+    if np.any(batch.idle_j[rows] != 0.0):
         violations.append(
             _violation(
                 "idle-accounting",
@@ -334,7 +227,7 @@ def check_batch_execution(
                         round_index,
                     )
                 )
-            offline_selected = ~mask[selected_rows]
+            offline_selected = ~mask[rows]
             if offline_selected.any():
                 violations.append(
                     _violation(
@@ -365,21 +258,27 @@ def check_batch_execution(
                 )
             )
 
-    # Round energy equals the sum of the per-device energies: the array-sum totals must
-    # agree with the materialised per-device-object account.  Materialising requires
-    # well-formed arrays, so the cross-check is skipped once those are already broken.
-    if not any(violation.invariant == "finite-nonnegative" for violation in violations):
-        scalar = batch.to_execution()
-        if not _close(batch.global_energy_j, scalar.energy.global_j):
-            violations.append(
-                _violation(
-                    "energy-accounting",
-                    f"array-sum global energy {batch.global_energy_j!r} J != per-device "
-                    f"account {scalar.energy.global_j!r} J",
-                    round_index,
-                )
+    # Round energy equals the sum of the per-device energies.  The global total places
+    # each participant's energy at its fleet row, so those rows must hold the selected
+    # devices; summed along a second path, idle plus participant energy must match it.
+    if not np.array_equal(batch.fleet_device_ids[rows], batch.selected_ids):
+        violations.append(
+            _violation(
+                "energy-accounting",
+                "the batch's fleet rows do not hold its selected devices",
+                round_index,
             )
-        violations.extend(check_round_execution(scalar, round_index=round_index))
+        )
+    split_sum = batch.idle_energy_j + batch.participant_energy_j
+    if not _close(batch.global_energy_j, split_sum):
+        violations.append(
+            _violation(
+                "energy-accounting",
+                f"global energy {batch.global_energy_j!r} J != idle plus participant "
+                f"energy {split_sum!r} J",
+                round_index,
+            )
+        )
     return violations
 
 
@@ -484,16 +383,16 @@ def check_simulation_result(
 class InvariantAuditor:
     """A :class:`~repro.sim.runner.RoundObserver` that audits every executed round.
 
-    Attach to an :class:`~repro.sim.runner.FLSimulation` via ``round_observer=`` to
-    check each round's :class:`BatchRoundExecution` and record as they happen, then call
-    :meth:`audit_result` on the finished :class:`SimulationResult`.  With
-    ``raise_on_violation`` the first broken invariant aborts the run; otherwise the
-    report accumulates everything for one end-of-run verdict.
+    Attach to an :class:`~repro.sim.runner.FLSimulation` via ``round_observer=``: each
+    round's :class:`BatchRoundExecution` is checked on its arrays, and its record
+    against that batch, as the round executes.  Then call :meth:`audit_result` on the
+    finished :class:`SimulationResult`, which checks each stored record once, and the
+    trajectory, so a record replaced after its round is still seen.  The report
+    accumulates everything for one end-of-run verdict.
     """
 
-    def __init__(self, raise_on_violation: bool = False, num_devices: int | None = None):
+    def __init__(self, num_devices: int | None = None):
         self.report = ValidationReport()
-        self._raise = raise_on_violation
         self._num_devices = num_devices
 
     def __call__(
@@ -507,12 +406,9 @@ class InvariantAuditor:
         violations = check_batch_execution(
             batch, online_mask=online_mask, round_index=round_index
         )
-        violations.extend(check_round_record(record, num_devices=self._num_devices))
         violations.extend(self._cross_check(batch, record, round_index))
         self.report.rounds_checked += 1
         self.report.extend(violations)
-        if self._raise:
-            self.report.raise_if_failed()
 
     def _cross_check(
         self, batch: BatchRoundExecution, record: RoundRecord, round_index: int
@@ -553,6 +449,4 @@ class InvariantAuditor:
         self.report.extend(
             check_simulation_result(result, num_devices=self._num_devices)
         )
-        if self._raise:
-            self.report.raise_if_failed()
         return self.report

@@ -1,6 +1,7 @@
 """Tests for the event bus and the one HTTP server of ``serve``: fan-out, routes, live drains."""
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -10,7 +11,7 @@ import pytest
 
 from repro.experiments.spec import ExperimentSpec
 from repro.service.eventbus import ROUTES, EventBus, ServiceHttpServer
-from repro.service.events import EventLog, tail_events
+from repro.service.events import EventIndex, EventLog, tail_events
 from repro.service.jobs import make_job
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
@@ -104,6 +105,57 @@ class TestBusFanOut:
             assert got["event"] == "new" and got["cursor"] == 2
         finally:
             bus.close()
+
+    def test_follower_seeks_once_then_keeps_its_offset(self, path, log, monkeypatch):
+        # A wake-up reads only the appended bytes: no index reload, rescan or rewrite.
+        saves = []
+        save = EventIndex.save
+
+        def counting_save(self):
+            saves.append(threading.current_thread().name)
+            save(self)
+
+        monkeypatch.setattr(EventIndex, "save", counting_save)
+        for index in range(3):
+            log.emit("old", index=index)
+        bus = EventBus(path, poll_s=0.05).start()
+        log.attach_bus(bus)
+        try:
+            subscription = bus.subscribe()
+            for index in range(50):
+                log.emit("new", index=index)
+                got = subscription.get(timeout=2.0)
+                assert (got["index"], got["cursor"]) == (index, index + 4)
+        finally:
+            bus.close()
+        assert saves.count("repro-event-bus") <= 1  # The initial seek.
+
+    def test_concurrent_emitters_are_delivered_once_in_file_order(self, bus, log, path):
+        # The follower may read a line half-written; it must hold it back, not drop it.
+        subscription = bus.subscribe()
+        threads, per_thread = 4, 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            emitters = [
+                threading.Thread(
+                    target=lambda t=t: [log.emit("tick", t=t, i=i) for i in range(per_thread)]
+                )
+                for t in range(threads)
+            ]
+            for emitter in emitters:
+                emitter.start()
+            for emitter in emitters:
+                emitter.join(timeout=10.0)
+            assert not any(emitter.is_alive() for emitter in emitters)
+        finally:
+            sys.setswitchinterval(interval)
+        got = [subscription.get(timeout=5.0) for _ in range(threads * per_thread)]
+        assert None not in got
+        assert [event["cursor"] for event in got] == list(range(1, threads * per_thread + 1))
+        expected = list(tail_events(path, since_cursor=0))
+        assert [(e["t"], e["i"]) for e in got] == [(e["t"], e["i"]) for e in expected]
+        assert len({(e["t"], e["i"]) for e in got}) == threads * per_thread
 
     def test_wait_for_unblocks_on_emit(self, bus, log):
         log.emit("first")

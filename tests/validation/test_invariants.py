@@ -5,13 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.devices.device import ExecutionTarget
-from repro.devices.energy import DeviceEnergy, RoundEnergyAccount
 from repro.exceptions import ValidationError
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
+from repro.sim import replicated
 from repro.sim.context import SelectionDecision
-from repro.sim.results import DeviceRoundOutcome, RoundExecution, RoundRecord
+from repro.sim.results import RoundRecord
 from repro.sim.round_engine import RoundEngine
 from repro.sim.scenarios import ScenarioSpec
 from repro.validation.invariants import (
@@ -19,7 +18,6 @@ from repro.validation.invariants import (
     InvariantViolation,
     ValidationReport,
     check_batch_execution,
-    check_round_execution,
     check_round_record,
     check_simulation_result,
 )
@@ -71,9 +69,6 @@ class TestCheckBatchExecution:
     def test_clean_execution_has_no_violations(self, batch):
         assert check_batch_execution(batch) == []
 
-    def test_scalar_view_has_no_violations(self, batch):
-        assert check_round_execution(batch.to_execution()) == []
-
     def test_corrupted_round_time_detected(self, batch):
         batch.round_time_s = batch.round_time_s * 2
         names = {violation.invariant for violation in check_batch_execution(batch)}
@@ -117,48 +112,18 @@ class TestCheckBatchExecution:
         names = {violation.invariant for violation in check_batch_execution(batch)}
         assert "failure-semantics" in names
 
+    def test_misrouted_fleet_rows_detected(self, batch):
+        # The global total places each participant's energy at its fleet row.
+        batch.rows[[0, 1]] = batch.rows[[1, 0]]
+        names = {violation.invariant for violation in check_batch_execution(batch)}
+        assert names == {"energy-accounting"}
 
-class TestCheckRoundExecution:
-    def _outcome(self, device_id, **overrides):
-        base = dict(
-            device_id=device_id,
-            target=ExecutionTarget(processor="cpu", vf_step=0),
-            compute_time_s=4.0,
-            communication_time_s=1.0,
-            energy=DeviceEnergy(compute_j=8.0, communication_j=2.0, idle_j=0.0),
-        )
-        base.update(overrides)
-        return DeviceRoundOutcome(**base)
-
-    def _execution(self, outcomes, round_time_s=5.0):
-        account = RoundEnergyAccount()
-        for device_id, outcome in outcomes.items():
-            account.record(device_id, outcome.energy)
-        return RoundExecution(outcomes=outcomes, round_time_s=round_time_s, energy=account)
-
-    def test_consistent_execution_passes(self):
-        outcomes = {1: self._outcome(1), 2: self._outcome(2)}
-        assert check_round_execution(self._execution(outcomes)) == []
-
-    def test_account_outcome_mismatch_detected(self):
-        outcomes = {1: self._outcome(1)}
-        execution = self._execution(outcomes)
-        execution.energy.record(1, DeviceEnergy(compute_j=999.0))
-        names = {violation.invariant for violation in check_round_execution(execution)}
-        assert "energy-accounting" in names
-
-    def test_round_time_mismatch_detected(self):
-        outcomes = {1: self._outcome(1)}
-        execution = self._execution(outcomes, round_time_s=123.0)
-        names = {violation.invariant for violation in check_round_execution(execution)}
-        assert "round-time" in names
-
-    def test_non_selected_device_with_active_energy_detected(self):
-        outcomes = {1: self._outcome(1)}
-        execution = self._execution(outcomes, round_time_s=5.0)
-        execution.energy.record(7, DeviceEnergy(compute_j=1.0))
-        names = {violation.invariant for violation in check_round_execution(execution)}
-        assert "energy-accounting" in names
+    def test_global_energy_off_the_idle_plus_participant_sum_detected(self, batch):
+        assert batch.global_energy_j > 0  # Summed (and cached) before the change.
+        idle_row = len(batch.fleet_device_ids) - 1  # Not among the selected first 8 rows.
+        batch.idle_j[idle_row] += 1.0
+        names = {violation.invariant for violation in check_batch_execution(batch)}
+        assert names == {"energy-accounting"}
 
 
 class TestCheckRoundRecord:
@@ -221,6 +186,25 @@ class TestInvariantAuditor:
         assert report.ok
         assert report.rounds_checked == FLAKY.scenario.max_rounds
         assert report.results_checked == 1
+
+    def test_a_corrupted_record_is_reported_once(self, monkeypatch):
+        # The round hook and the end-of-run audit both see this corrupted record.
+        build_record = replicated._record_from_batch
+
+        def corrupting(round_index, *args):
+            record = build_record(round_index, *args)
+            if round_index == 1:
+                record = dataclasses.replace(record, accuracy=record.accuracy + 2.0)
+            return record
+
+        monkeypatch.setattr(replicated, "_record_from_batch", corrupting)
+        auditor = InvariantAuditor(num_devices=30)
+        result = build_simulation(FLAKY, round_observer=auditor).run()
+        report = auditor.audit_result(result)
+        assert [(v.invariant, v.round_index) for v in report.violations] == [
+            ("metric-range", 1)
+        ]
+        assert report.rounds_checked == FLAKY.scenario.max_rounds
 
     def test_static_fleet_run_audits_green_too(self):
         spec = dataclasses.replace(
