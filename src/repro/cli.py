@@ -86,6 +86,7 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -1108,8 +1109,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the top-level argument parser."""
+    """Return the top-level argument parser, built once per process and shared.
+
+    Every call returns the same parser, so :func:`main` builds the tree only on its
+    first call and later calls in the same process only parse.  Callers parse with it
+    and must not add arguments to it or change it.  Sharing is safe because the parser
+    is pure data: its defaults and choices are constants, ``append`` options default
+    to ``None``, and each handler imports the layers it runs when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="AutoFL reproduction: declarative FL experiments from the command line.",

@@ -1,28 +1,16 @@
 """Layer implementations for the numpy neural-network library."""
 
-from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
-from repro.nn.layers.base import Layer, LayerCost
-from repro.nn.layers.conv import Conv2D, DepthwiseConv2D
-from repro.nn.layers.dense import Dense
-from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.misc import Dropout, Flatten
-from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-from repro.nn.layers.recurrent import LSTM
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvgPool2D",
-    "Conv2D",
-    "Dense",
-    "DepthwiseConv2D",
-    "Dropout",
-    "Embedding",
-    "Flatten",
-    "GlobalAvgPool2D",
-    "LSTM",
-    "Layer",
-    "LayerCost",
-    "MaxPool2D",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-]
+_EXPORTS = {
+    "repro.nn.layers.activations": ("ReLU", "Sigmoid", "Tanh"),
+    "repro.nn.layers.base": ("Layer", "LayerCost"),
+    "repro.nn.layers.conv": ("Conv2D", "DepthwiseConv2D"),
+    "repro.nn.layers.dense": ("Dense",),
+    "repro.nn.layers.embedding": ("Embedding",),
+    "repro.nn.layers.misc": ("Dropout", "Flatten"),
+    "repro.nn.layers.pooling": ("AvgPool2D", "GlobalAvgPool2D", "MaxPool2D"),
+    "repro.nn.layers.recurrent": ("LSTM",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -364,8 +364,9 @@ def tail_events(
                 handle.seek(offset)
                 buffer += handle.read()
                 offset = handle.tell()
-            while "\n" in buffer:
-                line, buffer = buffer.split("\n", 1)
+            # One split per read; the trailing partial line stays in the buffer.
+            *lines, buffer = buffer.split("\n")
+            for line in lines:
                 cursor += 1
                 if cursor <= skip_below or not line.strip():
                     continue

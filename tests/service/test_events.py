@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import threading
+import time
 
 from repro import telemetry
 from repro.service.events import (
@@ -63,6 +64,28 @@ class TestTail:
 
     def test_tail_missing_file_yields_nothing(self, tmp_path):
         assert list(tail_events(tmp_path / "absent.jsonl", follow=False)) == []
+
+    def test_a_long_log_replays_in_linear_time(self, tmp_path):
+        # One read returns the whole log.  Taking its lines off one at a time would copy
+        # the rest of the buffer per line: about 34 s for these 10 MB instead of 0.3 s.
+        path = tmp_path / "events.jsonl"
+        total = 80_000
+        lines = (
+            json.dumps(
+                {"event": "job_done", "index": index, "job_id": f"job-{index:08d}",
+                 "schema": 1, "seq": 4, "ts": 1760000000.25 + index, "worker": "w0"},
+                sort_keys=True,
+            )
+            for index in range(total)
+        )
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + '\n{"event": "torn"')
+        start = time.perf_counter()
+        events = list(tail_events(path, since_cursor=0))
+        elapsed = time.perf_counter() - start
+        assert [e["cursor"] for e in events] == list(range(1, total + 1))
+        assert [e["index"] for e in events] == list(range(total))  # the torn line held back
+        assert elapsed < 2.5, f"replaying {total} lines took {elapsed:.1f} s"
 
     def test_follow_sees_later_appends_and_stops(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -1,8 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
+import os
 import shutil
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,6 +17,8 @@ from repro.cli import build_parser, main
 from repro.experiments.runner import StaleResultWarning, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.sim.scenarios import ScenarioSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(args, capsys):
@@ -50,6 +56,64 @@ class TestList:
         assert code == 0
         for process in ("always-on", "bernoulli", "markov", "diurnal", "trace"):
             assert process in out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls only parse."""
+
+    def test_a_later_call_builds_no_parser(self, capsys, monkeypatch):
+        assert main(["list", "policies"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["list", "policies"]) == 0
+        assert built == []
+        assert build_parser() is build_parser()
+
+    def test_parses_share_no_state(self):
+        parser = build_parser()
+        axis = ["policy=fedavg-random,autofl"]
+        assert parser.parse_args(["submit", "--axis", *axis]).axis == axis
+        assert parser.parse_args(["submit"]).axis is None
+
+    def test_a_sweep_submit_leaves_no_axis_for_the_next_submit(self, capsys, tmp_path):
+        svc = ["--root", str(tmp_path / "service")]
+        flags = ["--devices", "25", "--rounds", "4", *svc]
+        assert main(["submit", "--axis", "policy=fedavg-random,autofl", *flags]) == 0
+        assert main(["submit", *flags]) == 0
+        job_id = capsys.readouterr().out.splitlines()[-1].split()[1].rstrip(":")
+        assert main(["status", job_id, *svc]) == 0
+        assert len(json.loads(capsys.readouterr().out)["specs"]) == 1
+
+    def test_a_usage_error_and_help_leave_the_parser_usable(self, capsys):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro", "list", "policies"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        with pytest.raises(SystemExit) as caught:
+            main(["submit", "--priority", "high"])
+        assert caught.value.code == 2
+        with pytest.raises(SystemExit) as caught:
+            main(["submit", "--help"])
+        assert caught.value.code == 0
+        assert "usage: repro submit" in capsys.readouterr().out
+        assert main(["list", "policies"]) == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+    def test_help_width_is_read_when_help_is_printed(self, capsys, monkeypatch):
+        widths = []
+        for columns in ("60", "160"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["submit", "--help"])
+            widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+        assert widths[0] <= 60 < widths[1]
 
 
 class TestRun:

@@ -1,9 +1,9 @@
 """``import repro`` and ``import repro.cli`` load only the layers a simulator run uses.
 
 The packages ``repro``, ``repro.experiments``, ``repro.service``, ``repro.validation``,
-``repro.nn`` and ``repro.analytics`` resolve their public names on first access, and
-the CLI's handlers import the modules they run.  Each check runs in a fresh interpreter,
-so modules that other tests imported cannot hide an eager import.
+``repro.nn``, ``repro.nn.layers`` and ``repro.analytics`` resolve their public names on
+first access, and the CLI's handlers import the modules they run.  Each check runs in a
+fresh interpreter, so modules that other tests imported cannot hide an eager import.
 """
 
 import json
@@ -22,6 +22,7 @@ LAZY_PACKAGES = (
     "repro.service",
     "repro.validation",
     "repro.nn",
+    "repro.nn.layers",
     "repro.analytics",
 )
 
@@ -94,6 +95,26 @@ print(json.dumps({{"all": sorted(package.__all__), "rows": rows}}))
     assert not wrong, wrong
     misplaced = [row for row in rows["rows"] if not row["definer_holds"]]
     assert not misplaced, misplaced
+
+
+def test_a_surrogate_backend_run_loads_no_layer_implementation():
+    # The surrogate backend builds no layer: a run needs only `nn.layers.base`, through
+    # `nn.model`, and none of the modules that implement the layers.
+    loaded = _fresh(
+        """
+import json, sys
+from dataclasses import replace
+from repro.experiments.runner import run_experiment
+from repro.experiments.spec import ExperimentSpec
+from repro.sim.scenarios import get_scenario_preset
+scenario = replace(get_scenario_preset("fleet-1k"), max_rounds=3)
+run_experiment(ExperimentSpec(scenario=scenario, policy="autofl", stop_at_convergence=False))
+print(json.dumps(sorted(sys.modules)))
+"""
+    )
+    names = ("activations", "conv", "dense", "embedding", "misc", "pooling", "recurrent")
+    unwanted = {f"repro.nn.layers.{name}" for name in names} & set(loaded)
+    assert not unwanted, sorted(unwanted)
 
 
 def test_a_bare_package_import_still_reaches_its_submodules():
