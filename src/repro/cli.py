@@ -490,7 +490,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.eventbus import EventBus, ServiceHttpServer
+    from repro.service.eventbus import ServiceHttpServer
     from repro.service.events import EventLog
     from repro.service.queue import AdmissionPolicy
     from repro.service.scheduler import Scheduler
@@ -533,13 +533,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.port is not None:
         # Bind before any thread starts, so a taken port leaves nothing running.
         server = ServiceHttpServer(
-            EventBus(_events_path(args)),
+            _events_path(args),
             telemetry.get_registry(),
             port=args.port,
             refresh=queue.export_gauges,
         )
-        events.attach_bus(server.bus)  # In-process emits wake the follower immediately.
-        server.bus.start()
         server.start()
         print(f"http: {server.url}")
     if not args.no_webhooks:
@@ -559,7 +557,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dispatcher.close()  # Flushes already-logged events one last time.
         if server is not None:
             server.close()
-            server.bus.close()
     if scheduler.signals_seen:
         print("drained on signal: in-flight work finished or was requeued", file=sys.stderr)
     return 0

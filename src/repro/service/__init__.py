@@ -18,9 +18,9 @@ that many clients can drive concurrently:
   one-shot import of retired flat-file JSONL stores;
 * :mod:`repro.service.events` — the append-only JSONL event log behind
   ``python -m repro watch``, with durable cursors and cross-process seq counters;
-* :mod:`repro.service.eventbus` — push-based fan-out over that log, and the one HTTP
-  server of ``serve --port``: ``/metrics``, ``/healthz``, the ``/events`` long-poll and
-  the ``/events/stream`` SSE feed;
+* :mod:`repro.service.eventbus` — the one HTTP server of ``serve --port``:
+  ``/metrics``, ``/healthz``, the ``/events`` long-poll and the ``/events/stream`` SSE
+  feed, where each event request follows that log from its own cursor;
 * :mod:`repro.service.webhooks` — signed at-least-once HTTP callbacks with retry,
   backoff and a dead-letter log.
 
@@ -38,12 +38,7 @@ _EXPORTS = {
         "DEFAULT_SQLITE_STORE_PATH",
         "SHED_POLICIES",
     ),
-    "repro.service.eventbus": (
-        "DEFAULT_MAX_SUBSCRIBER_QUEUE",
-        "EventBus",
-        "ServiceHttpServer",
-        "Subscription",
-    ),
+    "repro.service.eventbus": ("ServiceHttpServer",),
     "repro.service.events": (
         "EVENT_SCHEMA_VERSION",
         "EVENTS_FILENAME",

@@ -20,10 +20,13 @@ or the log was rotated.
 service root can never mint duplicate seqs for the same job.
 
 ``python -m repro watch`` is a thin wrapper over :func:`tail_events`, which replays
-the existing log and can then follow the file as it grows (like ``tail -f``); the
-event bus of :mod:`repro.service.eventbus` follows the log with it too.  The
-long-poll/SSE endpoints of that module and the webhook dispatcher of
-:mod:`repro.service.webhooks` read with :func:`read_events_since`.
+the existing log and can then follow the file as it grows (like ``tail -f``).  Each
+request on the ``/events`` and ``/events/stream`` routes of
+:mod:`repro.service.eventbus` is one such follower, from its own cursor: the log file
+is the only buffer.  Every :meth:`EventLog.emit` bumps one module-level append
+counter, so an emit wakes every follower in its process at once; appends by other
+processes are seen at the next poll.  The webhook dispatcher of
+:mod:`repro.service.webhooks` polls with :func:`read_events_since`.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ INDEX_SCHEMA_VERSION = 1
 #: A byte-offset checkpoint is kept every this-many lines; resuming from a cursor
 #: scans at most this many lines past the nearest checkpoint.
 INDEX_CHECKPOINT_EVERY = 256
+
+# Lines this process has appended to any log, under the condition that wakes
+# following ``tail_events`` generators when an emit moves it.  Followers only watch
+# it for change, so one counter for every log costs another log's follower at most
+# a wake that finds nothing new.
+_appends = 0
+_appended = threading.Condition()
 
 
 class _FileLock:
@@ -270,16 +280,6 @@ class EventLog:
             seq_dir if seq_dir is not None
             else self.path.with_name(self.path.name + SEQ_DIR_SUFFIX)
         )
-        self._bus = None
-
-    def attach_bus(self, bus) -> None:
-        """Wire an in-process :class:`~repro.service.eventbus.EventBus` wake-up.
-
-        ``emit`` stays non-blocking either way — the bus is only *poked* so its
-        follower thread picks the new line up immediately instead of at the next
-        poll tick.
-        """
-        self._bus = bus
 
     def emit(self, event: str, job_id: str | None = None, worker: str | None = None, **data) -> dict:
         """Append one event line (and echo it when configured); returns the payload."""
@@ -294,14 +294,16 @@ class EventLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")  # One write call: concurrent appenders never interleave.
+        global _appends
+        with _appended:  # Wake this process's followers now, not at their next poll.
+            _appends += 1
+            _appended.notify_all()
         registry = telemetry.get_registry()
         if registry.enabled:
             registry.counter(
                 "repro_events_emitted_total",
                 help="Events appended to the service log, by type.",
             ).inc(event=event)
-        if self._bus is not None:
-            self._bus.poke()
         if self.echo:
             print(format_event(payload), flush=True)
         return payload
@@ -317,21 +319,21 @@ def tail_events(
     poll_s: float = 0.2,
     stop: Callable[[], bool] | None = None,
     since_cursor: int | None = None,
-    wait: Callable[[float], None] | None = None,
 ) -> Iterator[dict]:
     """Yield parsed events from a JSONL log; with ``follow`` keep watching for growth.
 
     With ``since_cursor=N`` only events *after* cursor ``N`` are yielded, each
     annotated with its ``"cursor"`` (its 1-based line position — the durable resume
-    token); the :class:`EventIndex` sidecar is used to seek instead of re-reading
-    the whole file.  ``since_cursor=0`` replays everything.  If the log was rotated
-    (fewer lines than the requested cursor, or it shrinks mid-follow) the tail
-    resets to the top of the new file instead of silently yielding nothing forever.
+    token); the :class:`EventIndex` sidecar is used to seek once instead of re-reading
+    the whole file, and after that the tail keeps its own byte offset.  ``since_cursor=0``
+    replays everything.  If the log was rotated (fewer lines than the requested
+    cursor, or it shrinks mid-follow) the tail resets to the top of the new file
+    instead of silently yielding nothing forever.
 
     A partially-written final line (no trailing newline yet) is held back until its
-    newline arrives.  ``stop`` is polled between reads so callers can end a follow;
-    ``wait`` replaces the inter-poll sleep (the event bus passes an interruptible
-    wait so an in-process emit wakes the tail immediately).
+    newline arrives.  ``stop`` is polled after each read so callers can end a follow.
+    A follower sleeps until an :meth:`EventLog.emit` in this process appends, or
+    ``poll_s`` passes, and opens the file only when it has grown past its offset.
     """
     path = Path(path)
     buffer = ""
@@ -348,18 +350,19 @@ def tail_events(
         else:
             cursor, offset = index.checkpoint_for(skip_below)
     while True:
-        if path.exists():
-            try:
-                size = path.stat().st_size
-            except FileNotFoundError:
-                size = 0
-            if size < offset:
-                # Log rotated/truncated under us: restart from the top of the new
-                # file (and stop skipping — the old cursors no longer exist).
-                buffer = ""
-                cursor = 0
-                offset = 0
-                skip_below = 0
+        seen = _appends  # Read before the stat: an emit after it moves the counter.
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if size < offset:
+            # Log rotated/truncated under us: restart from the top of the new
+            # file (and stop skipping — the old cursors no longer exist).
+            buffer = ""
+            cursor = 0
+            offset = 0
+            skip_below = 0
+        if size > offset:
             with path.open("r", encoding="utf-8") as handle:
                 handle.seek(offset)
                 buffer += handle.read()
@@ -379,7 +382,8 @@ def tail_events(
                 yield payload
         if not follow or (stop is not None and stop()):
             return
-        (wait if wait is not None else time.sleep)(poll_s)
+        with _appended:
+            _appended.wait_for(lambda: _appends != seen, poll_s)
 
 
 def read_events_since(

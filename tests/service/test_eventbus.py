@@ -1,17 +1,21 @@
-"""Tests for the event bus and the one HTTP server of ``serve``: fan-out, routes, live drains."""
+"""Tests for the one HTTP server of ``serve``: per-request followers, routes, live drains."""
 
 import json
+import queue
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.spec import ExperimentSpec
-from repro.service.eventbus import ROUTES, EventBus, ServiceHttpServer
-from repro.service.events import EventIndex, EventLog, tail_events
+from repro.service.eventbus import ROUTES, ServiceHttpServer
+from repro.service.events import EventIndex, EventLog, read_events_since, tail_events
 from repro.service.jobs import make_job
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
@@ -38,16 +42,8 @@ def log(path):
 
 
 @pytest.fixture
-def bus(path, log):
-    bus = EventBus(path, poll_s=0.05, since_cursor=0).start()
-    log.attach_bus(bus)
-    yield bus
-    bus.close()
-
-
-@pytest.fixture
-def server(bus):
-    server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
+def server(path):
+    server = ServiceHttpServer(path, MetricsRegistry(enabled=False)).start()
     yield server
     server.close()
 
@@ -65,112 +61,150 @@ def _get_refused(url):
         return error.code, error.read().decode("utf-8")
 
 
+def _stream(url, headers=None):
+    """An open ``/events/stream`` response; a stalled stream fails the read in 10 s."""
+    return urllib.request.urlopen(urllib.request.Request(url, headers=headers or {}), timeout=10)
+
+
+def _frames(response, count):
+    """The next ``count`` SSE frames of ``response``, as ``(id, payload)`` pairs."""
+    frames = []
+    frame_id = None
+    for raw in response:
+        line = raw.decode("utf-8").rstrip("\n")
+        if line.startswith("id: "):
+            frame_id = int(line[len("id: "):])
+        elif line.startswith("data: "):
+            frames.append((frame_id, json.loads(line[len("data: "):])))
+            if len(frames) == count:
+                break
+    return frames
+
+
 class TestBusFanOut:
-    def test_subscribers_see_events_in_order_with_cursors(self, bus, log):
-        subscription = bus.subscribe()
-        for name in ("a", "b", "c"):
-            log.emit(name)
-        got = [subscription.get(timeout=2.0) for _ in range(3)]
-        assert [(g["event"], g["cursor"]) for g in got] == [("a", 1), ("b", 2), ("c", 3)]
+    """The log fans out to every open event request, each from its own cursor."""
 
-    def test_filters_apply_per_subscriber(self, bus, log):
-        by_job = bus.subscribe(job="job-a")
-        by_type = bus.subscribe(events=("job_done",))
-        log.emit("job_started", job_id="job-a")
-        log.emit("job_done", job_id="job-b")
-        assert by_job.get(timeout=2.0)["event"] == "job_started"
-        assert by_type.get(timeout=2.0)["event"] == "job_done"
-        assert by_job.get(timeout=0.2) is None
-        assert by_type.get(timeout=0.2) is None
+    def test_subscribers_see_events_in_order_with_cursors(self, server, log):
+        first = _stream(f"{server.url}/events/stream?cursor=0")
+        second = _stream(f"{server.url}/events/stream?cursor=0")
+        with first, second:
+            for name in ("a", "b", "c"):
+                log.emit(name)
+            for subscriber in (first, second):
+                got = _frames(subscriber, 3)
+                assert [(i, e["event"], e["cursor"]) for i, e in got] == [
+                    (1, "a", 1),
+                    (2, "b", 2),
+                    (3, "c", 3),
+                ]
 
-    def test_lagged_subscriber_is_dropped_with_marker_not_blocking(self, bus, log):
-        slow = bus.subscribe(max_queue=2)
-        keeper = bus.subscribe()
-        for index in range(10):
-            log.emit("tick", index=index)
-        assert [keeper.get(timeout=2.0)["index"] for _ in range(10)] == list(range(10))
-        drained = list(slow.stream(poll_s=0.05))
-        assert drained[-1]["event"] == "subscriber_lagged"
-        assert len(drained) <= 3  # two buffered + the marker
-        assert slow.closed  # dropped, never blocking the emitter
+    def test_concurrent_emitters_are_delivered_once_in_file_order(self, server, log, path):
+        # The follower may read a line half-written; it must hold it back, not drop it.
+        threads, per_thread = 4, 50
+        with _stream(f"{server.url}/events/stream?cursor=0") as response:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                emitters = [
+                    threading.Thread(
+                        target=lambda t=t: [log.emit("tick", t=t, i=i) for i in range(per_thread)]
+                    )
+                    for t in range(threads)
+                ]
+                for emitter in emitters:
+                    emitter.start()
+                for emitter in emitters:
+                    emitter.join(timeout=10.0)
+                assert not any(emitter.is_alive() for emitter in emitters)
+            finally:
+                sys.setswitchinterval(interval)
+            got = _frames(response, threads * per_thread)
+        assert [frame_id for frame_id, _ in got] == list(range(1, threads * per_thread + 1))
+        assert [e["cursor"] for _, e in got] == list(range(1, threads * per_thread + 1))
+        expected = list(tail_events(path, since_cursor=0))
+        assert [(e["t"], e["i"]) for _, e in got] == [(e["t"], e["i"]) for e in expected]
+        assert len({(e["t"], e["i"]) for _, e in got}) == threads * per_thread
 
-    def test_bus_started_at_end_of_log_skips_history(self, path, log):
-        log.emit("old")
-        bus = EventBus(path, poll_s=0.05).start()  # since_cursor=None: end of log
-        log.attach_bus(bus)
-        try:
-            subscription = bus.subscribe()
-            log.emit("new")
-            got = subscription.get(timeout=2.0)
-            assert got["event"] == "new" and got["cursor"] == 2
-        finally:
-            bus.close()
 
-    def test_follower_seeks_once_then_keeps_its_offset(self, path, log, monkeypatch):
-        # A wake-up reads only the appended bytes: no index reload, rescan or rewrite.
+class TestFollowers:
+    def test_parked_long_poll_saves_the_index_at_most_once(self, server, log, monkeypatch):
+        # The request seeks once through the index, then reads only appended bytes.
         saves = []
         save = EventIndex.save
 
-        def counting_save(self):
-            saves.append(threading.current_thread().name)
-            save(self)
+        def counting_save(index):
+            saves.append(index)
+            save(index)
 
         monkeypatch.setattr(EventIndex, "save", counting_save)
         for index in range(3):
             log.emit("old", index=index)
-        bus = EventBus(path, poll_s=0.05).start()
-        log.attach_bus(bus)
-        try:
-            subscription = bus.subscribe()
-            for index in range(50):
-                log.emit("new", index=index)
-                got = subscription.get(timeout=2.0)
-                assert (got["index"], got["cursor"]) == (index, index + 4)
-        finally:
-            bus.close()
-        assert saves.count("repro-event-bus") <= 1  # The initial seek.
-
-    def test_concurrent_emitters_are_delivered_once_in_file_order(self, bus, log, path):
-        # The follower may read a line half-written; it must hold it back, not drop it.
-        subscription = bus.subscribe()
-        threads, per_thread = 4, 50
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            emitters = [
-                threading.Thread(
-                    target=lambda t=t: [log.emit("tick", t=t, i=i) for i in range(per_thread)]
-                )
-                for t in range(threads)
-            ]
-            for emitter in emitters:
-                emitter.start()
-            for emitter in emitters:
-                emitter.join(timeout=10.0)
-            assert not any(emitter.is_alive() for emitter in emitters)
-        finally:
-            sys.setswitchinterval(interval)
-        got = [subscription.get(timeout=5.0) for _ in range(threads * per_thread)]
-        assert None not in got
-        assert [event["cursor"] for event in got] == list(range(1, threads * per_thread + 1))
-        expected = list(tail_events(path, since_cursor=0))
-        assert [(e["t"], e["i"]) for e in got] == [(e["t"], e["i"]) for e in expected]
-        assert len({(e["t"], e["i"]) for e in got}) == threads * per_thread
-
-    def test_wait_for_unblocks_on_emit(self, bus, log):
-        log.emit("first")
-        assert bus.wait_for(0, timeout=2.0) >= 1
         result = {}
 
-        def wait():
-            result["cursor"] = bus.wait_for(1, timeout=5.0)
+        def poll():
+            result["body"] = _get_json(f"{server.url}/events?cursor=3&event=last&timeout=30")
 
-        waiter = threading.Thread(target=wait)
-        waiter.start()
+        poller = threading.Thread(target=poll)
+        poller.start()
+        time.sleep(0.2)  # Let the handler park.
+        for index in range(50):
+            log.emit("tick", index=index)
+            time.sleep(0.005)  # Spaced, so each emit wakes the parked follower.
+        log.emit("last")
+        poller.join(timeout=10.0)
+        assert not poller.is_alive()
+        assert [e["event"] for e in result["body"]["events"]] == ["last"]
+        assert result["body"]["cursor"] == 54
+        assert len(saves) <= 1
+
+    def test_sse_filters_apply_per_request(self, server, log):
+        by_job = _stream(f"{server.url}/events/stream?cursor=0&job=job-a")
+        by_type = _stream(f"{server.url}/events/stream?cursor=0&event=job_done")
+        with by_job, by_type:
+            log.emit("job_started", job_id="job-a")
+            log.emit("job_done", job_id="job-b")
+            log.emit("job_done", job_id="job-a")
+            assert [(i, e["event"]) for i, e in _frames(by_job, 2)] == [
+                (1, "job_started"),
+                (3, "job_done"),
+            ]
+            assert [(i, e["job_id"]) for i, e in _frames(by_type, 2)] == [
+                (2, "job-b"),
+                (3, "job-a"),
+            ]
+
+    def test_an_in_process_emit_wakes_a_follower_at_once(self, path, log):
+        log.emit("first")
+        got = queue.Queue()
+        done = threading.Event()
+
+        def follow():
+            for payload in tail_events(path, follow=True, poll_s=10, stop=done.is_set):
+                got.put((payload["event"], time.monotonic()))
+
+        follower = threading.Thread(target=follow, daemon=True)
+        follower.start()
+        assert got.get(timeout=5.0)[0] == "first"
+        time.sleep(0.1)  # Let the follower sleep out its 10 s poll.
+        emitted = time.monotonic()
         log.emit("second")
-        waiter.join(timeout=5.0)
-        assert not waiter.is_alive()
-        assert result["cursor"] >= 2
+        event, seen = got.get(timeout=5.0)
+        done.set()
+        log.emit("last")  # Wakes the follower to see the stop.
+        follower.join(timeout=5.0)
+        assert not follower.is_alive()
+        assert event == "second" and seen - emitted < 1.0
+
+    def test_close_ends_an_open_sse_request_within_one_poll(self, path, log):
+        server = ServiceHttpServer(path, MetricsRegistry(enabled=False)).start()
+        log.emit("only")
+        with _stream(f"{server.url}/events/stream?cursor=0") as response:
+            assert [frame_id for frame_id, _ in _frames(response, 1)] == [1]
+            started = time.monotonic()
+            server.close()
+            # The frame's closing blank line, then the end of the stream: the handler returned.
+            assert response.read() == b"\n"
+            assert time.monotonic() - started < 1.0
 
 
 class TestLongPoll:
@@ -258,21 +292,36 @@ class TestSSE:
 
         consumer = threading.Thread(target=consume, daemon=True)
         consumer.start()
-        time.sleep(0.3)  # Backlog replay + subscription switchover.
+        time.sleep(0.3)  # Backlog replay, then the follower parks.
         log.emit("live")
         assert done.wait(timeout=5.0)
         assert [f["event"] for f in frames] == ["old-1", "old-2", "live"]
         assert [f["cursor"] for f in frames] == [1, 2, 3]
 
+    def test_last_event_id_header_is_the_resume_cursor(self, server, log):
+        # An EventSource reconnects with its first URL plus the last id it saw.
+        for name in ("a", "b", "c"):
+            log.emit(name)
+        url = f"{server.url}/events/stream?cursor=0"
+        with _stream(url, {"Last-Event-ID": "2"}) as response:
+            assert response.readline() == b"id: 3\n"
+
+    def test_malformed_last_event_id_answers_400_naming_it(self, server):
+        request = urllib.request.Request(
+            f"{server.url}/events/stream?cursor=0", headers={"Last-Event-ID": "two"}
+        )
+        status, body = _get_refused(request)
+        assert status == 400 and body.startswith("Last-Event-ID must be")
+
 
 class TestOneSurface:
-    def test_all_four_routes_answer_on_one_port(self, bus, log):
+    def test_all_four_routes_answer_on_one_port(self, path, log):
         registry = MetricsRegistry(enabled=True)
 
         def refresh():
             registry.gauge("repro_queue_depth").set(3.0)
 
-        server = ServiceHttpServer(bus, registry, refresh=refresh).start()
+        server = ServiceHttpServer(path, registry, refresh=refresh).start()
         try:
             log.emit("job_submitted", job_id="job-1")
             with urllib.request.urlopen(f"{server.url}/metrics", timeout=5) as response:
@@ -291,8 +340,8 @@ class TestOneSurface:
         finally:
             server.close()
 
-    def test_close_does_not_wait_out_a_long_poll_interval(self, bus):
-        server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
+    def test_close_does_not_wait_out_a_long_poll_interval(self, path):
+        server = ServiceHttpServer(path, MetricsRegistry(enabled=False)).start()
         # One answered request puts the server thread in its select loop.
         with urllib.request.urlopen(f"{server.url}/healthz", timeout=5) as response:
             assert response.read() == b"ok\n"
@@ -319,6 +368,47 @@ class TestQueryValidation:
             assert time.monotonic() - started < 2.0
 
 
+class TestLongPollAgreesWithReader:
+    def test_route_returns_what_read_events_since_reads(self, path):
+        # Random logs (job ids, event names, a torn last line) and random queries: the
+        # route with timeout=0 gives the reference reader's events and resume cursor.
+        server = ServiceHttpServer(path, MetricsRegistry(enabled=False)).start()
+        index_path = EventIndex(path).path
+        jobs = st.sampled_from([None, "job-a", "job-b"])
+        lines = st.lists(
+            st.tuples(jobs, st.sampled_from(["a", "b", "c"])).map(
+                lambda pair: {"event": pair[1], **({"job_id": pair[0]} if pair[0] else {})}
+            ),
+            max_size=12,
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            lines=lines,
+            torn=st.integers(0, 17),
+            cursor=st.integers(0, 14),
+            job=st.one_of(jobs, st.just("job-c")),
+            events=st.sampled_from([None, ("a",), ("a", "b"), ("c",)]),
+            limit=st.one_of(st.none(), st.integers(1, 4)),
+        )
+        def check(lines, torn, cursor, job, events, limit):
+            text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+            path.write_text(text + json.dumps({"event": "torn"})[:torn])
+            index_path.unlink(missing_ok=True)  # Each example is a new log.
+            params = [("cursor", cursor), ("timeout", 0)]
+            params += [("job", job)] if job else []
+            params += [("event", name) for name in events or ()]
+            params += [("limit", limit)] if limit else []
+            body = _get_json(f"{server.url}/events?{urllib.parse.urlencode(params)}")
+            expected = read_events_since(path, cursor, job=job, events=events, limit=limit)
+            assert (body["events"], body["cursor"]) == expected
+
+        try:
+            check()
+        finally:
+            server.close()
+
+
 class TestLiveDrainAcceptance:
     def test_midflight_subscriber_sees_exactly_the_file_tail(self, tmp_path, path):
         """A long-poll consumer started mid-drain with cursor=0 receives every event
@@ -330,9 +420,7 @@ class TestLiveDrainAcceptance:
         scheduler = Scheduler(queue, store, log, poll_s=0.05, worker_prefix="t")
         for seed in range(3):
             queue.submit(make_job(_spec(seed), label=f"s{seed}"))
-        bus = EventBus(path, poll_s=0.05, since_cursor=0).start()
-        log.attach_bus(bus)
-        server = ServiceHttpServer(bus, MetricsRegistry(enabled=False)).start()
+        server = ServiceHttpServer(path, MetricsRegistry(enabled=False)).start()
         drain = threading.Thread(
             target=lambda: scheduler.serve(workers=2, drain=True, install_signals=False)
         )
@@ -353,7 +441,6 @@ class TestLiveDrainAcceptance:
         finally:
             drain.join(timeout=60.0)
             server.close()
-            bus.close()
         assert not drain.is_alive()
         expected = list(tail_events(path, since_cursor=0))
         assert [e["cursor"] for e in received] == [e["cursor"] for e in expected]

@@ -11,7 +11,7 @@ from urllib.error import HTTPError
 from urllib.request import urlopen
 
 from repro.exceptions import TelemetryError
-from repro.service import EventBus, ServiceHttpServer
+from repro.service import ServiceHttpServer
 from repro.telemetry import (
     MetricsRegistry,
     metrics_table_rows,
@@ -225,7 +225,7 @@ class TestMetricsServer:
         registry.counter("c").inc(2.0)
         refreshed = []
         server = ServiceHttpServer(
-            EventBus(tmp_path / "events.jsonl"),
+            tmp_path / "events.jsonl",
             registry,
             port=0,
             refresh=lambda: refreshed.append(True),
