@@ -18,7 +18,9 @@ then reads only the bytes appended since its last read, and the log file is the 
 buffer.  An emit in this process wakes every follower at once; appends by other
 processes are seen at the next poll.  A slow SSE client reads at its own pace and
 misses nothing, and the scheduler's emits never wait on it.  A long-poll's timeout
-and :meth:`ServiceHttpServer.close` are noticed at the next poll.
+and :meth:`ServiceHttpServer.close` are noticed at the next poll.  An SSE stream that
+wrote nothing for :data:`KEEPALIVE_S` gets a ``: keep-alive`` comment frame, so a
+client that left an idle stream fails a write and its request ends.
 
 On both event routes a ``cursor`` or ``limit`` that is not a non-negative integer,
 or a ``timeout`` that is not a finite number, answers 400 naming the parameter, as
@@ -58,6 +60,10 @@ ROUTES = ("/metrics", "/healthz", "/events", "/events/stream")
 #: How often the server thread checks for shutdown, so the most ``close`` waits; the
 #: stdlib default of 0.5 s would hold up every ``serve --port`` exit by as much.
 SHUTDOWN_POLL_S = 0.05
+
+#: An SSE stream idle this many seconds gets a comment frame, which ``EventSource``
+#: ignores.  A client that went away fails the write, and its request ends.
+KEEPALIVE_S = 15.0
 
 
 class _BadQuery(ValueError):
@@ -226,14 +232,24 @@ class ServiceHttpServer:
         handler.send_header("Content-Type", "text/event-stream")
         handler.send_header("Cache-Control", "no-cache")
         handler.end_headers()
-        for payload in tail_events(
-            self.events_path, follow=True, since_cursor=cursor, stop=self._closed.is_set
-        ):
+        written = time.monotonic()
+
+        def stop() -> bool:
+            # Polled after every read: a client that left an idle stream is found by
+            # the keep-alive write, which raises once its socket is gone.
+            nonlocal written
+            if time.monotonic() - written >= KEEPALIVE_S:
+                self._write_frame(handler, b": keep-alive\n\n")
+                written = time.monotonic()
+            return self._closed.is_set()
+
+        for payload in tail_events(self.events_path, follow=True, since_cursor=cursor, stop=stop):
             if event_matches(payload, job=job, events=events):
-                self._write_sse(handler, payload)
+                data = json.dumps(payload, sort_keys=True)
+                self._write_frame(handler, f"id: {payload['cursor']}\ndata: {data}\n\n".encode())
+                written = time.monotonic()
 
     @staticmethod
-    def _write_sse(handler, payload: dict) -> None:
-        frame = f"id: {payload['cursor']}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
-        handler.wfile.write(frame.encode("utf-8"))
+    def _write_frame(handler, frame: bytes) -> None:
+        handler.wfile.write(frame)
         handler.wfile.flush()

@@ -15,9 +15,9 @@ of re-reading the whole log; the index is derived data, rebuilt whenever it is s
 or the log was rotated.
 
 **File-backed seq counters.**  Events carrying a ``job_id`` get a per-job monotone
-``seq`` minted by :class:`SeqCounter` from a shared counter file next to the log
-(advisory-locked read-modify-replace), so two ``serve`` hosts appending into one
-service root can never mint duplicate seqs for the same job.
+``seq`` minted by :class:`SeqCounter` from one counter file per job next to the log,
+rewritten in place under ``flock``, so two ``serve`` hosts appending into one service
+root can never mint duplicate seqs for the same job.
 
 ``python -m repro watch`` is a thin wrapper over :func:`tail_events`, which replays
 the existing log and can then follow the file as it grows (like ``tail -f``).  Each
@@ -31,11 +31,11 @@ processes are seen at the next poll.  The webhook dispatcher of
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
-import uuid
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
@@ -64,7 +64,9 @@ INDEX_SUFFIX = ".idx"
 #: Sidecar suffix of the seq-counter directory (``events.jsonl.seq/``).
 SEQ_DIR_SUFFIX = ".seq"
 
-INDEX_SCHEMA_VERSION = 1
+#: v2: the index records a digest of the log's first line, so a log overwritten by a
+#: longer one is told apart from the log it replaced.
+INDEX_SCHEMA_VERSION = 2
 
 #: A byte-offset checkpoint is kept every this-many lines; resuming from a cursor
 #: scans at most this many lines past the nearest checkpoint.
@@ -78,27 +80,31 @@ _appends = 0
 _appended = threading.Condition()
 
 
-class _FileLock:
-    """Advisory exclusive lock on a path (``flock`` where available).
+#: Bytes :meth:`SeqCounter.next` reads: a counter value is a few digits and a newline.
+_COUNTER_READ = 64
 
-    On platforms without ``fcntl`` the fallback is an ``O_EXCL`` spin-lock file with
-    stale-breaking by mtime — slower, but the POSIX path is the production one.
-    """
+
+def _open_creating(path: Path, flags: int) -> int:
+    """``os.open`` with ``O_CREAT``; makes the parent directory only when it is missing."""
+    try:
+        return os.open(path, flags | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags | os.O_CREAT, 0o666)
+
+
+class _SpinLock:
+    """``O_EXCL`` lock file, broken when older than ``stale_s``: the fallback where
+    there is no ``fcntl``; slower, but the POSIX path is the production one."""
 
     def __init__(self, path: Path, stale_s: float = 10.0) -> None:
         self.path = path
         self.stale_s = stale_s
-        self._handle = None
 
-    def __enter__(self) -> "_FileLock":
-        if fcntl is not None:
-            self._handle = open(self.path, "a+", encoding="utf-8")
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-            return self
-        while True:  # pragma: no cover - exercised only off-POSIX
+    def __enter__(self) -> "_SpinLock":  # pragma: no cover - exercised only off-POSIX
+        while True:
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
+                os.close(os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
                 return self
             except FileExistsError:
                 try:
@@ -109,25 +115,38 @@ class _FileLock:
                     continue
                 time.sleep(0.01)
 
-    def __exit__(self, *exc_info) -> None:
-        if self._handle is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None
-        else:  # pragma: no cover - exercised only off-POSIX
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
+    def __exit__(self, *exc_info) -> None:  # pragma: no cover - exercised only off-POSIX
+        try:
+            self.path.unlink()
+        except FileNotFoundError:
+            pass
+
+
+def _bump(fd: int) -> int:
+    """Read the counter at ``fd``, write the next value back at offset 0, return it."""
+    raw = os.read(fd, _COUNTER_READ)
+    try:
+        seq = int(raw or 0) + 1
+    except ValueError:  # Corrupt: start over, as a missing counter does.
+        seq = 1
+    data = b"%d\n" % seq
+    os.lseek(fd, 0, os.SEEK_SET)
+    os.write(fd, data)
+    if len(raw) > len(data):
+        # Only a corrupt value is longer than its successor: seqs only grow, so the
+        # new digits always cover the old ones.  Drop the stale tail.
+        os.ftruncate(fd, len(data))
+    return seq
 
 
 class SeqCounter:
     """File-backed per-job sequence counters shared by every writer of one log.
 
-    ``next(job_id)`` is an atomic read-increment-replace under an advisory lock:
-    the counter value lands via a unique temp file + ``os.replace``, so a crash at
-    any point leaves either the old or the new value, never a torn one, and the
-    lock itself is released by the OS if the holder dies.
+    Each job has one counter file, ``<job_id>.count``, holding its last minted seq.
+    ``next(job_id)`` opens it (creating it, and the directory only when that open
+    fails), takes ``flock`` on that descriptor, reads the value and writes the next
+    one back in place: one small write at offset 0, so a killed writer leaves the old
+    or the new value, and the OS releases the lock of a holder that dies.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -138,18 +157,20 @@ class SeqCounter:
 
     def next(self, job_id: str) -> int:
         """Mint the next seq for ``job_id`` (1-based, unique across processes)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        counter = self._counter_path(job_id)
-        with _FileLock(self.directory / f"{job_id}.lock"):
+        fd = _open_creating(self._counter_path(job_id), os.O_RDWR)
+        try:
+            if fcntl is None:  # pragma: no cover - exercised only off-POSIX
+                with _SpinLock(self.directory / f"{job_id}.lock"):
+                    return _bump(fd)
+            fcntl.flock(fd, fcntl.LOCK_EX)
             try:
-                current = int(counter.read_text(encoding="utf-8").strip() or 0)
-            except (FileNotFoundError, ValueError):
-                current = 0
-            seq = current + 1
-            staging = self.directory / f".{job_id}.{uuid.uuid4().hex}.tmp"
-            staging.write_text(f"{seq}\n", encoding="utf-8")
-            os.replace(staging, counter)
-        return seq
+                return _bump(fd)
+            finally:
+                # Unlock before the close: a child forked meanwhile holds a copy of
+                # this descriptor, and with it the lock, until it exits.
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
 
     def peek(self, job_id: str) -> int:
         """The last minted seq for ``job_id`` (0 when none was minted yet)."""
@@ -159,6 +180,10 @@ class SeqCounter:
             return 0
 
 
+def _line_digest(line: bytes) -> str:
+    return hashlib.blake2b(line, digest_size=16).hexdigest()
+
+
 class EventIndex:
     """Compact cursor → byte-offset index over one ``events.jsonl``.
 
@@ -166,9 +191,10 @@ class EventIndex:
     cover (``indexed_bytes``) and a sparse checkpoint list ``[(cursor, offset)]``
     meaning *the line with cursor ``cursor + 1`` starts at byte ``offset``*.  It is
     pure derived data: :meth:`refresh` extends it incrementally as the log grows and
-    rebuilds it from scratch whenever it is stale — missing, corrupt, or describing
-    more bytes than the file holds (log rotated/truncated).  Concurrent refreshers
-    race benignly (atomic replace, last writer wins).
+    rebuilds it from scratch whenever it is stale — missing, corrupt, describing more
+    bytes than the file holds (log rotated/truncated), or, when the log grew, holding a
+    digest of another first line (log replaced by a longer one).  Concurrent
+    refreshers race benignly (atomic replace, last writer wins).
     """
 
     def __init__(self, events_path: str | os.PathLike) -> None:
@@ -177,6 +203,8 @@ class EventIndex:
         self.indexed_bytes = 0
         self.count = 0
         self.checkpoints: list[tuple[int, int]] = [(0, 0)]
+        #: Digest of the first indexed line (``None`` until one is indexed).
+        self.head: str | None = None
         self._load()
 
     def _load(self) -> None:
@@ -186,6 +214,7 @@ class EventIndex:
                 raise ValueError(f"unknown index schema {payload.get('schema')!r}")
             self.indexed_bytes = int(payload["indexed_bytes"])
             self.count = int(payload["count"])
+            self.head = payload["head"]
             self.checkpoints = [(int(c), int(o)) for c, o in payload["checkpoints"]]
             if not self.checkpoints or self.checkpoints[0] != (0, 0):
                 self.checkpoints.insert(0, (0, 0))
@@ -196,9 +225,10 @@ class EventIndex:
         self.indexed_bytes = 0
         self.count = 0
         self.checkpoints = [(0, 0)]
+        self.head = None
 
     def refresh(self, save: bool = True) -> "EventIndex":
-        """Bring the index up to date with the file; rebuild if the log shrank."""
+        """Bring the index up to date with the file; rebuild if the log was replaced."""
         try:
             size = self.events_path.stat().st_size
         except FileNotFoundError:
@@ -208,8 +238,14 @@ class EventIndex:
         if size == self.indexed_bytes:
             return self
         with self.events_path.open("rb") as handle:
+            if self.count and _line_digest(handle.readline()) != self.head:
+                self._reset()  # Replaced by a longer log: same name, other lines.
             handle.seek(self.indexed_bytes)
             data = handle.read(size - self.indexed_bytes)
+        if not self.count:
+            first = data.find(b"\n")
+            if first >= 0:
+                self.head = _line_digest(data[: first + 1])
         base = self.indexed_bytes
         position = 0
         while True:
@@ -231,6 +267,7 @@ class EventIndex:
             "schema": INDEX_SCHEMA_VERSION,
             "indexed_bytes": self.indexed_bytes,
             "count": self.count,
+            "head": self.head,
             "checkpoints": self.checkpoints,
         }
         staging = self.path.with_name(
@@ -290,10 +327,12 @@ class EventLog:
         if worker is not None:
             payload["worker"] = worker
         payload.update(data)
-        line = json.dumps(payload, sort_keys=True)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")  # One write call: concurrent appenders never interleave.
+        line = json.dumps(payload, sort_keys=True) + "\n"
+        fd = _open_creating(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, line.encode("utf-8"))  # One write: appenders never interleave.
+        finally:
+            os.close(fd)
         global _appends
         with _appended:  # Wake this process's followers now, not at their next poll.
             _appends += 1

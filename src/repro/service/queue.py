@@ -107,6 +107,20 @@ class AdmissionPolicy:
             max_store_p95_s=payload.get("max_store_p95_s"),
         )
 
+
+def _names(directory: Path, suffixes: str | tuple[str, ...]) -> list[str]:
+    """Names in ``directory`` ending in one of ``suffixes``: what ``glob("*" + suffix)``
+    matches, dot names included, from one ``os.scandir`` that builds no ``Path``.
+
+    Like ``glob``, a directory that is missing or unreadable has no names.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            return [entry.name for entry in entries if entry.name.endswith(suffixes)]
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+
+
 #: Directory name per job state.
 _STATE_DIRS: dict[JobState, str] = {
     JobState.QUEUED: "queued",
@@ -190,11 +204,12 @@ class JobQueue:
     def _scan_queued(self) -> dict[str, tuple[int, float, str, int]]:
         """Refresh and return the order cache for the currently-queued jobs."""
         order: dict[str, tuple[int, float, str, int]] = {}
-        for path in self._dir(JobState.QUEUED).glob("*.json"):
-            job_id = path.stem
+        directory = self._dir(JobState.QUEUED)
+        for name in _names(directory, ".json"):
+            job_id = os.path.splitext(name)[0]  # Path(name).stem
             cached = self._order_cache.get(job_id)
             if cached is None:
-                payload = self._read_json(path)
+                payload = self._read_json(directory / name)
                 if payload is None:
                     continue
                 cached = (
@@ -347,7 +362,9 @@ class JobQueue:
         """
         now = time.time() if now is None else now
         moved: list[Job] = []
-        for path in self._dir(JobState.RUNNING).glob("*.json"):
+        directory = self._dir(JobState.RUNNING)
+        for name in _names(directory, ".json"):
+            path = directory / name
             job_id = path.stem
             lease = self._read_json(self._lease_path(job_id))
             if lease is None:
@@ -409,17 +426,18 @@ class JobQueue:
         """
         now = time.time() if now is None else now
         swept: list[Path] = []
-        for pattern in ("*.lease", "*.cancel"):
-            for path in self._dir(JobState.RUNNING).glob(pattern):
-                if self._job_path(JobState.RUNNING, path.stem).exists():
+        directory = self._dir(JobState.RUNNING)
+        for name in _names(directory, (".lease", ".cancel")):
+            path = directory / name
+            if self._job_path(JobState.RUNNING, path.stem).exists():
+                continue
+            try:
+                if now - path.stat().st_mtime < CLAIM_GRACE_S:
                     continue
-                try:
-                    if now - path.stat().st_mtime < CLAIM_GRACE_S:
-                        continue
-                    path.unlink()
-                except FileNotFoundError:
-                    continue  # Another sweeper (or the job's return) beat us.
-                swept.append(path)
+                path.unlink()
+            except FileNotFoundError:
+                continue  # Another sweeper (or the job's return) beat us.
+            swept.append(path)
         return swept
 
     # ------------------------------------------------------------------ cancellation
@@ -467,22 +485,20 @@ class JobQueue:
         selected = states if states is not None else tuple(_STATE_DIRS)
         loaded: list[Job] = []
         for state in selected:
-            for path in self._dir(state).glob("*.json"):
-                job = self._load_job(path)
+            directory = self._dir(state)
+            for name in _names(directory, ".json"):
+                job = self._load_job(directory / name)
                 if job is not None:
                     loaded.append(job)
         return sorted(loaded, key=lambda job: (job.submitted_at, job.job_id))
 
     def counts(self) -> dict[str, int]:
         """Number of jobs per state (cheap: counts files, does not parse them)."""
-        return {
-            state.value: sum(1 for _ in self._dir(state).glob("*.json"))
-            for state in _STATE_DIRS
-        }
+        return {state.value: len(_names(self._dir(state), ".json")) for state in _STATE_DIRS}
 
     def pending(self) -> int:
         """Number of jobs currently waiting in ``queued/``."""
-        return sum(1 for _ in self._dir(JobState.QUEUED).glob("*.json"))
+        return len(_names(self._dir(JobState.QUEUED), ".json"))
 
     def depth(self) -> int:
         """Alias of :meth:`pending` — the admission-control view of the backlog."""

@@ -334,8 +334,11 @@ class Scheduler:
         deadline = time.time() + job.timeout_s if job.timeout_s is not None else None
         job.cache_hits = 0  # Per-attempt counters: a retry re-counts against the store.
         job.executed = 0
-        for spec in job.specs:
+        for index, spec in enumerate(job.specs):
             spec_hash = spec.spec_hash()
+            # Progress is written only when another spec follows: after the last one,
+            # ``complete`` writes the same counters straight away.
+            more = index + 1 < len(job.specs)
             if stop.is_set():
                 self._requeue_interrupted(job, worker_id)
                 return
@@ -350,7 +353,8 @@ class Scheduler:
                 return
             if self._timed_store_op("get", lambda: self.store.get(spec_hash)) is not None:
                 job.cache_hits += 1
-                self.queue.update(job)
+                if more:
+                    self.queue.update(job)
                 if registry.enabled:
                     registry.counter(
                         "repro_specs_total", help="Grid points served, by outcome."
@@ -411,7 +415,8 @@ class Scheduler:
                 ):
                     self._store_result(result, job)
                     job.executed += 1
-                    self.queue.update(job)
+                    if more:
+                        self.queue.update(job)
                 if registry.enabled:
                     registry.counter(
                         "repro_specs_total", help="Grid points served, by outcome."

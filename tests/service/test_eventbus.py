@@ -2,6 +2,7 @@
 
 import json
 import queue
+import socket
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.spec import ExperimentSpec
+from repro.service import eventbus
 from repro.service.eventbus import ROUTES, ServiceHttpServer
 from repro.service.events import EventIndex, EventLog, read_events_since, tail_events
 from repro.service.jobs import make_job
@@ -312,6 +314,26 @@ class TestSSE:
         )
         status, body = _get_refused(request)
         assert status == 400 and body.startswith("Last-Event-ID must be")
+
+    def test_a_client_that_leaves_an_idle_stream_ends_its_request(
+        self, server, log, monkeypatch
+    ):
+        monkeypatch.setattr(eventbus, "KEEPALIVE_S", 0.05)
+        log.emit("only")
+        before = set(threading.enumerate())
+        with socket.create_connection((server.host, server.port), timeout=5) as client:
+            # A filter no event matches: nothing but keep-alives is ever written.
+            client.sendall(b"GET /events/stream?cursor=0&job=job-none HTTP/1.1\r\n\r\n")
+            received = b""
+            while b": keep-alive\n\n" not in received:
+                chunk = client.recv(4096)
+                assert chunk, received
+                received += chunk
+            assert received.startswith(b"HTTP/1.0 200")
+            (handler,) = set(threading.enumerate()) - before  # The request's thread.
+        # No emit follows: the keep-alive write alone must find the closed socket.
+        handler.join(timeout=5.0)
+        assert not handler.is_alive()
 
 
 class TestOneSurface:

@@ -2,8 +2,13 @@
 
 import json
 import multiprocessing
+import os
+import signal
+import sys
 import threading
 import time
+
+import pytest
 
 from repro import telemetry
 from repro.service.events import (
@@ -15,6 +20,32 @@ from repro.service.events import (
     read_events_since,
     tail_events,
 )
+
+
+def _hold_counter_lock(path, held):
+    """Child: take the counter file's ``flock`` and keep it until killed."""
+    import fcntl
+
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    held.set()
+    time.sleep(60)
+
+
+def _emit_from_threads(path, tag, threads, emits):
+    """Child: ``threads`` threads each emit ``emits`` events of one shared job."""
+    sys.setswitchinterval(1e-5)  # Switch threads often, inside the counter update too.
+    log = EventLog(path)
+
+    def spam():
+        for _ in range(emits):
+            log.emit("tick", job_id="job-shared", worker=tag)
+
+    workers = [threading.Thread(target=spam) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
 
 
 class TestEmitAndRead:
@@ -192,6 +223,19 @@ class TestDurableCursors:
         events = list(tail_events(path, since_cursor=10))
         assert [(e["event"], e["cursor"]) for e in events] == [("new", 1)]
 
+    def test_a_longer_log_written_over_an_indexed_one_rebuilds_the_index(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        for _ in range(3):
+            log.emit("old", pad="x" * 40)
+        EventIndex(path).refresh()  # Persist an index covering the 3 long lines.
+        path.unlink()
+        for index in range(10):  # Shorter lines, but more bytes than were indexed.
+            log.emit("new", index=index)
+        assert EventIndex(path).refresh().count == 10
+        events, last = read_events_since(path, 9)
+        assert [(e["cursor"], e["index"]) for e in events] == [(10, 9)] and last == 10
+
     def test_corrupt_index_file_is_ignored(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
@@ -287,6 +331,66 @@ class TestSeqCounter:
         for seqs in by_worker.values():
             assert seqs == sorted(seqs)
             assert len(set(seqs)) == len(seqs)
+
+    def test_threads_in_two_processes_mint_exactly_one_to_n(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        ctx = multiprocessing.get_context()
+        workers = [
+            ctx.Process(target=_emit_from_threads, args=(path, f"p{n}", 4, 25))
+            for n in range(2)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=60.0)
+            assert process.exitcode == 0
+        seqs = [event["seq"] for event in EventLog(path).read()]
+        assert sorted(seqs) == list(range(1, 201))
+
+    def test_a_killed_lock_holder_does_not_block_the_next_seq(self, tmp_path):
+        pytest.importorskip("fcntl")
+        counter = SeqCounter(tmp_path / "seq")
+        assert counter.next("job-1") == 1
+        ctx = multiprocessing.get_context()
+        held = ctx.Event()
+        holder = ctx.Process(
+            target=_hold_counter_lock, args=(tmp_path / "seq" / "job-1.count", held)
+        )
+        holder.start()
+        minted = []
+        try:
+            assert held.wait(10.0)
+            waiter = threading.Thread(
+                target=lambda: minted.append(counter.next("job-1")), daemon=True
+            )
+            waiter.start()
+            waiter.join(timeout=0.2)
+            assert waiter.is_alive()  # The child holds the lock the counter takes.
+        finally:
+            os.kill(holder.pid, signal.SIGKILL)
+            holder.join(timeout=10.0)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive() and minted == [2]
+
+    def test_a_counter_of_the_old_layout_continues(self, tmp_path):
+        # The old layout replaced <job>.count under a lock on a <job>.lock sidecar.
+        directory = tmp_path / "seq"
+        directory.mkdir()
+        (directory / "job-1.count").write_text("7\n")
+        (directory / "job-1.lock").write_text("")
+        assert SeqCounter(directory).next("job-1") == 8
+        assert (directory / "job-1.count").read_text() == "8\n"
+
+    def test_a_corrupt_value_is_replaced_with_no_stale_bytes(self, tmp_path):
+        directory = tmp_path / "seq"
+        directory.mkdir()
+        path = directory / "job-1.count"
+        path.write_text("not a number\n")
+        counter = SeqCounter(directory)
+        assert counter.next("job-1") == 1
+        assert path.read_text() == "1\n"
+        assert counter.next("job-1") == 2
+        assert path.read_text() == "2\n"
 
 
 class TestEmitTelemetry:

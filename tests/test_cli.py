@@ -403,6 +403,34 @@ class TestService:
         assert payload["state"] == "done"
         assert (payload["cache_hits"], payload["executed"]) == (1, 0)
 
+    def test_a_cached_job_drains_with_four_renames(self, capsys, svc, store, monkeypatch):
+        # The lease, the claim rename, the claim write and complete: seqs are rewritten
+        # in place, and a single-spec job writes no progress before complete does.
+        flags = ["--devices", "25", "--rounds", "4", "--policy", "fedavg-random"]
+        serve = ["serve", "--drain", "--workers", "1", "--quiet", "--no-webhooks"]
+        self._submit(capsys, svc, flags)
+        _run([*serve, *svc, *store], capsys)
+        job_id = self._submit(capsys, svc, flags)
+        renamed = []
+
+        def counted(real):
+            def call(source, target, *args, **kwargs):
+                renamed.append(os.path.basename(target))
+                return real(source, target, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(os, "replace", counted(os.replace))
+        monkeypatch.setattr(os, "rename", counted(os.rename))
+        code, _out, _err = _run([*serve, *svc, *store], capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert renamed == [
+            f"{job_id}.lease", f"{job_id}.json", f"{job_id}.json", f"{job_id}.json"
+        ]
+        code, out, _err = _run(["status", job_id, *svc], capsys)
+        assert json.loads(out)["state"] == "done"
+
     def test_submit_sweep_axis_expands_grid(self, capsys, svc):
         job_id = self._submit(
             capsys, svc,
